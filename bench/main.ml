@@ -519,15 +519,53 @@ let micro () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  let grouped = Test.make_grouped ~name:"obda" tests in
-  let results = Benchmark.all cfg [ instance ] grouped in
-  let analyzed = Analyze.all ols instance results in
+  let estimates tests =
+    let grouped = Test.make_grouped ~name:"obda" tests in
+    let results = Benchmark.all cfg [ instance ] grouped in
+    Analyze.all ols instance results
+  in
   Hashtbl.iter
     (fun name est ->
       match Analyze.OLS.estimates est with
       | Some [ t ] -> Printf.printf "%-42s %14.0f ns/run\n" name t
       | _ -> Printf.printf "%-42s (no estimate)\n" name)
-    analyzed
+    (estimates tests);
+  (* Ndl.Eval's relation layer, over a binary relation the size of the Lin
+     cells' intermediate relations (a 250 x 240 grid): a run is one
+     operation per row, reported per operation.  An add inserts into a
+     fresh relation, buffer and table growth included; a probe looks up a
+     full-row key through a maintained index and walks its one match. *)
+  let module I = Obda_ndl.Eval.Internal in
+  let n = 60_000 in
+  let rows = Array.init n (fun i -> [| i mod 250; 250 + (i / 250) |]) in
+  let grid = I.relation_create 2 in
+  Array.iter (fun row -> ignore (I.add_row grid row)) rows;
+  let probe = I.prober grid [ 0; 1 ] in
+  let layer =
+    [
+      ( "relation_add_ns",
+        Test.make ~name:"ndl:relation-add(60k binary rows)"
+          (Staged.stage (fun () ->
+               let r = I.relation_create 2 in
+               Array.iter (fun row -> ignore (I.add_row r row)) rows)) );
+      ( "index_probe_ns",
+        Test.make ~name:"ndl:index-probe(60k binary rows)"
+          (Staged.stage (fun () ->
+               Array.iter (fun key -> ignore (probe key)) rows)) );
+    ]
+  in
+  let analyzed = estimates (List.map snd layer) in
+  List.iter
+    (fun (key, test) ->
+      let name = "obda/" ^ Test.name test in
+      let est = Hashtbl.find_opt analyzed name in
+      match Option.bind est Analyze.OLS.estimates with
+      | Some [ t ] ->
+        let per_op = t /. float_of_int n in
+        record_float key per_op;
+        Printf.printf "%-42s %14.1f ns/op\n" name per_op
+      | _ -> Printf.printf "%-42s (no estimate)\n" name)
+    layer
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: the full Fig. 2 pipeline (rewrite + evaluate) under

@@ -2,6 +2,7 @@ open Obda_syntax
 open Obda_data
 module Ndl = Obda_ndl.Ndl
 module Eval = Obda_ndl.Eval
+module Error = Obda_runtime.Error
 
 type rule = { head : Symbol.t * string list; body : Ndl.atom list }
 type t = rule list
@@ -26,6 +27,25 @@ let validate rules =
     Ok ()
   with Invalid_argument m -> Error m
 
+(* Every body atom over a source relation must have that relation's
+   arity: the evaluator reads source rows at the atom's arity. *)
+let check_arities rules src =
+  List.iter
+    (fun r ->
+      List.iter
+        (function
+          | Ndl.Pred (p, ts) -> (
+            match Source.arity src p with
+            | Some n when n <> List.length ts ->
+              Error.parse_error ~line:0
+                "relation %a has arity %d in the source but arity %d in \
+                 the mapping"
+                Symbol.pp p n (List.length ts)
+            | _ -> ())
+          | Ndl.Eq _ | Ndl.Dom _ -> ())
+        r.body)
+    rules
+
 let clauses_of rules =
   List.map
     (fun r ->
@@ -39,6 +59,7 @@ let materialise rules src =
   match rules with
   | [] -> Abox.create ()
   | first :: _ ->
+    check_arities rules src;
     let program =
       Ndl.make ~goal:(fst first.head)
         ~goal_args:(snd first.head)
@@ -67,6 +88,7 @@ let unfold rules (q : Ndl.query) =
   { q with Ndl.clauses = q.Ndl.clauses @ clauses_of rules }
 
 let answers_virtual rules (q : Ndl.query) src =
+  check_arities rules src;
   let unfolded = unfold rules q in
   (Eval.run
      ~edb:(Source.edb_provider src)

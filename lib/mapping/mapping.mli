@@ -28,7 +28,9 @@ val rule : string -> string list -> Obda_ndl.Ndl.atom list -> rule
 val validate : t -> (unit, string) result
 
 val materialise : t -> Source.t -> Abox.t
-(** The instance M(D). *)
+(** The instance M(D).  Raises [Obda_runtime.Error.Obda_error
+    (Parse_error _)] when a body atom's arity differs from its source
+    relation's, as does {!answers_virtual}. *)
 
 val unfold : t -> Obda_ndl.Ndl.query -> Obda_ndl.Ndl.query
 (** Replace the ontology's extensional predicates by their mapping

@@ -1,6 +1,7 @@
 open Obda_syntax
 open Obda_data
 module Budget = Obda_runtime.Budget
+module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
 module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
@@ -8,22 +9,82 @@ module Obs = Obda_obs.Obs
 exception Timeout
 
 (* ------------------------------------------------------------------ *)
-(* Relations *)
+(* Relations
 
-module Key = struct
-  type t = int list
+   A relation keeps its rows back to back in one arity-strided [int]
+   buffer; a row is named by its id, its rank in insertion order, and rows
+   are never moved or removed.  An open-addressed table of row ids (linear
+   probing, load at most 1/2, each slot paired with its row's hash) makes
+   the buffer a set.  An index on a position list is a second such table
+   with one slot per distinct key, holding the newest row with that key;
+   [next] chains each row to the previous row with the same key.  Indexes
+   are maintained on every add, so probing one walks a chain in place.
+   Adds and probes allocate nothing beyond amortised buffer growth. *)
 
-  let equal = List.equal Int.equal
-  let hash = Hashtbl.hash
-end
+(* Row hashes: an odd-multiplier fold over the values, then a xor-shift
+   finaliser that brings the high bits down to the slot bits.  Symbol ids
+   are small dense ints, so the finaliser matters. *)
+let hash_seed = 0x2545F4914F6CDD1D
+let[@inline] hash_step h v = (h + v) * 0x3f58476d1ce4e5b9
 
-module KeyTbl = Hashtbl.Make (Key)
+let[@inline] hash_finish h =
+  let h = (h lxor (h lsr 31)) * 0x14d049bb133111eb in
+  (h lxor (h lsr 29)) land max_int
+
+(* The hash of [n] values from [a.(i)]; a key buffer and the row it
+   matches hash alike. *)
+let hash_values a i n =
+  let h = ref hash_seed in
+  for k = i to i + n - 1 do
+    h := hash_step !h a.(k)
+  done;
+  hash_finish !h
+
+let rec values_equal a i b j n =
+  n = 0 || (a.(i) = b.(j) && values_equal a (i + 1) b (j + 1) (n - 1))
+
+(* A row (at offset [i] of [a]) matches a key buffer on [positions]. *)
+let rec matches_key a i positions key k =
+  k = Array.length key
+  || a.(i + positions.(k)) = key.(k) && matches_key a i positions key (k + 1)
+
+(* An open-addressed table: [2 * s] holds the row id at slot [s] (-1 when
+   empty), [2 * s + 1] its hash.  The slot count is a power of two. *)
+let empty_slots n = Array.make (2 * n) (-1)
+let[@inline] slot_mask slots = (Array.length slots lsr 1) - 1
+
+(* Rehash every occupied slot into a table twice the size. *)
+let grow_slots slots =
+  let bigger = empty_slots (Array.length slots) in
+  let mask = slot_mask bigger in
+  for s = 0 to (Array.length slots lsr 1) - 1 do
+    let id = slots.(2 * s) in
+    if id >= 0 then begin
+      let h = slots.((2 * s) + 1) in
+      let t = ref (h land mask) in
+      while bigger.(2 * !t) >= 0 do
+        t := (!t + 1) land mask
+      done;
+      bigger.(2 * !t) <- id;
+      bigger.((2 * !t) + 1) <- h
+    end
+  done;
+  bigger
+
+type index = {
+  positions : int array;
+  mutable heads : int array;  (* key slots: newest row with the key *)
+  mutable next : int array;  (* row id -> older row with its key, or -1 *)
+  mutable keys : int;  (* distinct keys *)
+  key : int array;  (* scratch: the key of the row being inserted *)
+}
 
 type relation = {
   arity : int;
-  tuples : (int array, unit) Hashtbl.t;
-  mutable indexes : (int list * int array list KeyTbl.t) list;
-      (* sorted position list -> key values -> matching tuples *)
+  mutable data : int array;  (* row [id] at [id * arity ..] *)
+  mutable size : int;
+  mutable rows : int array;  (* the row set's slots *)
+  mutable indexes : index list;
   mutable index_builds : int;
       (* full-scan index constructions — additions maintain existing
          indexes incrementally, so this stays at one per position list *)
@@ -34,63 +95,165 @@ type relation = {
 let relation_create arity =
   {
     arity;
-    tuples = Hashtbl.create 64;
+    data = Array.make (8 * arity) 0;
+    size = 0;
+    rows = empty_slots 16;
     indexes = [];
     index_builds = 0;
     sorted_view = None;
   }
 
 let relation_arity r = r.arity
-let relation_size r = Hashtbl.length r.tuples
+let relation_size r = r.size
+
+(* The slot holding the row equal to [src.(off ..)] (hash [h]), or the
+   empty slot where it belongs. *)
+let rec find_row slots mask data arity src off h s =
+  let id = slots.(2 * s) in
+  if id < 0
+     || slots.((2 * s) + 1) = h && values_equal data (id * arity) src off arity
+  then s
+  else find_row slots mask data arity src off h ((s + 1) land mask)
+
+(* The key slot of the rows matching [key], or the empty slot where the key
+   belongs. *)
+let rec find_key slots mask data arity positions key h s =
+  let id = slots.(2 * s) in
+  if id < 0
+     || slots.((2 * s) + 1) = h && matches_key data (id * arity) positions key 0
+  then s
+  else find_key slots mask data arity positions key h ((s + 1) land mask)
+
+let index_insert ix data arity id =
+  if id >= Array.length ix.next then begin
+    let next = Array.make (max 16 (2 * (id + 1))) (-1) in
+    Array.blit ix.next 0 next 0 (Array.length ix.next);
+    ix.next <- next
+  end;
+  let key = ix.key in
+  for k = 0 to Array.length key - 1 do
+    key.(k) <- data.((id * arity) + ix.positions.(k))
+  done;
+  let h = hash_values key 0 (Array.length key) in
+  let heads = ix.heads in
+  let s =
+    find_key heads (slot_mask heads) data arity ix.positions key h
+      (h land slot_mask heads)
+  in
+  let head = heads.(2 * s) in
+  ix.next.(id) <- head;
+  heads.(2 * s) <- id;
+  heads.((2 * s) + 1) <- h;
+  if head < 0 then begin
+    ix.keys <- ix.keys + 1;
+    if 2 * ix.keys > Array.length heads lsr 1 then
+      ix.heads <- grow_slots heads
+  end
+
+let rec index_all data arity id = function
+  | [] -> ()
+  | ix :: rest ->
+    index_insert ix data arity id;
+    index_all data arity id rest
+
+(* Add the row [src.(off ..)] whose hash is [h]; false if already present. *)
+let add_hashed r src off h =
+  let arity = r.arity and rows = r.rows in
+  let s =
+    find_row rows (slot_mask rows) r.data arity src off h
+      (h land slot_mask rows)
+  in
+  if rows.(2 * s) >= 0 then false
+  else begin
+    let id = r.size in
+    if (id + 1) * arity > Array.length r.data then begin
+      let data = Array.make (2 * Array.length r.data) 0 in
+      Array.blit r.data 0 data 0 (id * arity);
+      r.data <- data
+    end;
+    let data = r.data in
+    for k = 0 to arity - 1 do
+      data.((id * arity) + k) <- src.(off + k)
+    done;
+    rows.(2 * s) <- id;
+    rows.((2 * s) + 1) <- h;
+    r.size <- id + 1;
+    if 2 * r.size > Array.length rows lsr 1 then r.rows <- grow_slots rows;
+    index_all data arity id r.indexes;
+    r.sorted_view <- None;
+    true
+  end
+
+let add_row r src off = add_hashed r src off (hash_values src off r.arity)
+
+(* Add every row of [src] to [dst]; [on_new] sees each row that was new. *)
+let add_all dst src on_new =
+  for id = 0 to src.size - 1 do
+    let off = id * src.arity in
+    let h = hash_values src.data off src.arity in
+    if add_hashed dst src.data off h then on_new src.data off h
+  done
+
+(* An index over the current rows, not registered on the relation: the
+   [Hash] strategy's transient table, and the start of every maintained
+   index. *)
+let index_build r positions =
+  let ix =
+    {
+      positions;
+      heads = empty_slots 16;
+      next = Array.make (max 16 r.size) (-1);
+      keys = 0;
+      key = Array.make (Array.length positions) 0;
+    }
+  in
+  for id = 0 to r.size - 1 do
+    index_insert ix r.data r.arity id
+  done;
+  ix
+
+let find_index r positions =
+  List.find_opt (fun ix -> ix.positions = positions) r.indexes
+
+let relation_index r positions =
+  match find_index r positions with
+  | Some ix -> ix
+  | None ->
+    let ix = index_build r positions in
+    r.indexes <- ix :: r.indexes;
+    r.index_builds <- r.index_builds + 1;
+    ix
+
+(* The newest row whose values at the index's positions are [key], or -1;
+   older rows with the same key follow through [ix.next]. *)
+let index_probe ix r key =
+  let h = hash_values key 0 (Array.length key) and heads = ix.heads in
+  let s =
+    find_key heads (slot_mask heads) r.data r.arity ix.positions key h
+      (h land slot_mask heads)
+  in
+  heads.(2 * s)
+
+let rec compare_rows a i j n =
+  if n = 0 then 0
+  else
+    let c = Int.compare a.(i) a.(j) in
+    if c <> 0 then c else compare_rows a (i + 1) (j + 1) (n - 1)
+
+let decode r id =
+  List.init r.arity (fun k -> Symbol.unsafe_of_int r.data.((id * r.arity) + k))
 
 let relation_tuples r =
   match r.sorted_view with
   | Some view -> view
   | None ->
-    let view =
-      Hashtbl.fold (fun t () acc -> Array.to_list t :: acc) r.tuples []
-      |> List.sort (List.compare Int.compare)
-      |> List.map (List.map Symbol.unsafe_of_int)
-    in
+    let ids = Array.init r.size Fun.id in
+    Array.stable_sort
+      (fun i j -> compare_rows r.data (i * r.arity) (j * r.arity) r.arity)
+      ids;
+    let view = Array.fold_right (fun id acc -> decode r id :: acc) ids [] in
     r.sorted_view <- Some view;
     view
-
-let relation_add r tuple =
-  if Hashtbl.mem r.tuples tuple then false
-  else begin
-    Hashtbl.add r.tuples tuple ();
-    r.sorted_view <- None;
-    (* keep existing indexes in sync *)
-    List.iter
-      (fun (positions, tbl) ->
-        let key = List.map (fun p -> tuple.(p)) positions in
-        let cur = Option.value ~default:[] (KeyTbl.find_opt tbl key) in
-        KeyTbl.replace tbl key (tuple :: cur))
-      r.indexes;
-    true
-  end
-
-let relation_index r positions =
-  match List.assoc_opt positions r.indexes with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = KeyTbl.create (max 64 (Hashtbl.length r.tuples)) in
-    Hashtbl.iter
-      (fun tuple () ->
-        let key = List.map (fun p -> tuple.(p)) positions in
-        let cur = Option.value ~default:[] (KeyTbl.find_opt tbl key) in
-        KeyTbl.replace tbl key (tuple :: cur))
-      r.tuples;
-    r.indexes <- (positions, tbl) :: r.indexes;
-    r.index_builds <- r.index_builds + 1;
-    tbl
-
-let relation_lookup r positions key =
-  if positions = [] then
-    Hashtbl.fold (fun t () acc -> t :: acc) r.tuples []
-  else
-    let tbl = relation_index r positions in
-    Option.value ~default:[] (KeyTbl.find_opt tbl key)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled clauses *)
@@ -118,11 +281,102 @@ let compile_clause (c : Ndl.clause) =
   let head = Array.of_list (List.map cterm (snd c.head)) in
   (List.length vars, Array.of_list vars, head, List.map catom c.body)
 
+(* A plan step as the matcher runs it.  The plan fixes which variables are
+   bound when each step runs, so a predicate step's key, the checks on each
+   row it reads and the slots it binds are all known before evaluation. *)
+type pred_step = {
+  pred : Symbol.t;
+  arity : int;
+  strategy : Plan.strategy;
+  probe : int array;  (* [Index]/[Hash]: the bound positions, ascending *)
+  key : cterm array;  (* the term at each probe position *)
+  consts : int array;  (* (position, constant) pairs a row must hold *)
+  binds : int array;  (* (position, slot) pairs each row binds *)
+  agrees : int array;
+      (* (position, slot) pairs a row must agree with: slots bound before
+         the step ([Scan] only) or by an earlier position of the atom *)
+}
+
+type mstep =
+  | Pred of pred_step
+  | Eq_test of cterm * cterm  (* both sides bound *)
+  | Eq_bind of int * cterm  (* the slot takes the bound side's value *)
+  | Eq_sweep of int * int  (* neither side bound: both range over ⊤ *)
+  | Dom_test of cterm
+  | Dom_sweep of int
+
+let matcher ~nvars (plan : Plan.t) =
+  let bound = Array.make nvars false in
+  let is_bound = function CV i -> bound.(i) | CC _ -> true in
+  let mark = function CV i -> bound.(i) <- true | CC _ -> () in
+  let pairs l =
+    Array.of_list (List.concat_map (fun (a, b) -> [ a; b ]) (List.rev l))
+  in
+  let step (s : Plan.step) =
+    match s.atom with
+    | CEq (t1, t2) ->
+      let m =
+        match (is_bound t1, is_bound t2, t1, t2) with
+        | true, true, _, _ -> Eq_test (t1, t2)
+        | true, false, _, CV j -> Eq_bind (j, t1)
+        | false, true, CV i, _ -> Eq_bind (i, t2)
+        | false, false, CV i, CV j -> Eq_sweep (i, j)
+        | _ -> assert false (* constants are bound *)
+      in
+      mark t1;
+      mark t2;
+      m
+    | CDom t ->
+      let m =
+        match t with
+        | _ when is_bound t -> Dom_test t
+        | CV i -> Dom_sweep i
+        | CC _ -> assert false
+      in
+      mark t;
+      m
+    | CPred (pred, ts) ->
+      let keyed = s.strategy <> Plan.Scan in
+      let key = ref [] and consts = ref [] in
+      let binds = ref [] and agrees = ref [] in
+      Array.iteri
+        (fun pos t ->
+          match t with
+          | CC c ->
+            if keyed then key := (pos, t) :: !key
+            else consts := (pos, c) :: !consts
+          | CV j when bound.(j) ->
+            if keyed then key := (pos, t) :: !key
+            else agrees := (pos, j) :: !agrees
+          | CV j ->
+            if List.exists (fun (_, j') -> j' = j) !binds then
+              agrees := (pos, j) :: !agrees
+            else binds := (pos, j) :: !binds)
+        ts;
+      Array.iter mark ts;
+      let key = List.rev !key in
+      (* the planner tracked the same bound set *)
+      assert ((not keyed) || List.map fst key = s.probe);
+      Pred
+        {
+          pred;
+          arity = Array.length ts;
+          strategy = s.strategy;
+          probe = Array.of_list (List.map fst key);
+          key = Array.of_list (List.map snd key);
+          consts = pairs !consts;
+          binds = pairs !binds;
+          agrees = pairs !agrees;
+        }
+  in
+  Array.of_list (List.map step plan.steps)
+
 type compiled = {
   nvars : int;
   names : string array;
   head : cterm array;
   plan : Plan.t;
+  steps : mstep array;  (* [plan] compiled for the matcher *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -139,8 +393,7 @@ type env = {
   relations : relation Symbol.Tbl.t;  (* EDB (from the ABox) and IDB *)
   abox : Abox.t;
   external_edb : Symbol.t -> int -> Symbol.t list list option;
-  domain : int array;
-  domain_set : (int, unit) Hashtbl.t;
+  domain : int array;  (* sorted, for membership by binary search *)
   deadline : unit -> bool;
   budget : Budget.t;
   observe : bool;
@@ -155,6 +408,14 @@ type env = {
          counted, so the total is identical at every worker count *)
 }
 
+(* Whether [c] occurs in the sorted [a.(lo .. hi - 1)]. *)
+let rec sorted_mem a c lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let v = a.(mid) in
+  v = c || if v < c then sorted_mem a c (mid + 1) hi else sorted_mem a c lo mid
+
 let tick env =
   env.ticks <- env.ticks + 1;
   Budget.step env.budget;
@@ -162,28 +423,44 @@ let tick env =
 
 let get_relation env p ~arity =
   match Symbol.Tbl.find_opt env.relations p with
-  | Some r -> r
+  | Some r ->
+    if r.arity <> arity then
+      Error.parse_error ~line:0 "relation %a is used with arities %d and %d"
+        Symbol.pp p r.arity arity;
+    r
   | None ->
     (* an EDB predicate: the external source first, then the ABox *)
     let r = relation_create arity in
+    let row = Array.make arity 0 in
     (match env.external_edb p arity with
     | Some tuples ->
       List.iter
         (fun tuple ->
-          ignore
-            (relation_add r
-               (Array.of_list (List.map (fun (c : Symbol.t) -> (c :> int)) tuple))))
+          (* a short or long row would be read across its neighbours in
+             the strided buffer *)
+          let n = List.length tuple in
+          if n <> arity then
+            Error.parse_error ~line:0
+              "relation %a has a row of arity %d in the data source but \
+               arity %d in the query"
+              Symbol.pp p n arity;
+          List.iteri (fun k (c : Symbol.t) -> row.(k) <- (c :> int)) tuple;
+          ignore (add_row r row 0))
         tuples
     | None -> (
       match arity with
       | 1 ->
         List.iter
-          (fun (c : Symbol.t) -> ignore (relation_add r [| (c :> int) |]))
+          (fun (c : Symbol.t) ->
+            row.(0) <- (c :> int);
+            ignore (add_row r row 0))
           (Abox.unary_members env.abox p)
       | 2 ->
         List.iter
           (fun ((c : Symbol.t), (d : Symbol.t)) ->
-            ignore (relation_add r [| (c :> int); (d :> int) |]))
+            row.(0) <- (c :> int);
+            row.(1) <- (d :> int);
+            ignore (add_row r row 0))
           (Abox.binary_members env.abox p)
       | 0 -> ()
       | n -> invalid_arg (Printf.sprintf "Eval: EDB predicate of arity %d" n)));
@@ -251,7 +528,8 @@ let stats_of_env env ~transient =
     distinct =
       (fun p probe ->
         match Symbol.Tbl.find_opt env.relations p with
-        | Some r -> Option.map KeyTbl.length (List.assoc_opt probe r.indexes)
+        | Some r ->
+          Option.map (fun ix -> ix.keys) (find_index r (Array.of_list probe))
         | None -> None);
     transient = (fun p -> Symbol.Set.mem p transient);
     domain = Array.length env.domain;
@@ -290,157 +568,137 @@ let compile_and_plan env ~naive ~transient (c : Ndl.clause) =
       (Printf.sprintf "%s(%s) <- %s" (Symbol.name hp) args
          (Plan.describe ~names plan))
   | None -> ());
-  { nvars; names; head; plan }
+  { nvars; names; head; plan; steps = matcher ~nvars plan }
+
+(* Per-row tests of a predicate step, as tail-recursive loops over the
+   step's (position, value) pairs. *)
+let rec consts_hold data off consts k =
+  k = Array.length consts
+  || data.(off + consts.(k)) = consts.(k + 1)
+     && consts_hold data off consts (k + 2)
+
+let rec agrees_hold data off binding agrees k =
+  k = Array.length agrees
+  || data.(off + agrees.(k)) = binding.(agrees.(k + 1))
+     && agrees_hold data off binding agrees (k + 2)
+
+(* Placeholders for a step's relation and index until the step is first
+   reached: resolving lazily keeps index builds — which the planner's
+   statistics see — exactly where the evaluation first probes. *)
+let unresolved = relation_create 0
+let no_index =
+  { positions = [||]; heads = [||]; next = [||]; keys = 0; key = [||] }
 
 (* Evaluate one compiled clause into [target].  [keep], if given, is a
    partition filter consulted only at the clause's first step: for a leading
-   [CPred] it receives the hash of each candidate tuple, for a leading
+   [CPred] it receives the hash of each candidate row, for a leading
    domain sweep (unbound [CDom], unbound–unbound [CEq]) the domain constant.
    A worker passing [keep] sees a disjoint slice of the first step's search
    space; the union over workers is exactly the sequential enumeration. *)
 let eval_compiled env target ?keep cc =
-  let { nvars; head; plan; _ } = cc in
-  let accept = match keep with None -> fun _ -> true | Some k -> k in
+  let { nvars; head; steps; _ } = cc in
+  let nsteps = Array.length steps in
+  let partitioned, accept =
+    match keep with None -> (false, fun _ -> true) | Some k -> (true, k)
+  in
   let binding = Array.make nvars (-1) in
+  let out = Array.make (Array.length head) 0 in
+  let rels = Array.make nsteps unresolved in
+  let indexes = Array.make nsteps no_index in
+  let keys =
+    Array.map
+      (function Pred p -> Array.make (Array.length p.probe) 0 | _ -> [||])
+      steps
+  in
   let value = function CV i -> binding.(i) | CC c -> c in
-  let is_bound = function CV i -> binding.(i) >= 0 | CC _ -> true in
-  let nsteps = List.length plan.Plan.steps in
-  (* transient hash tables ([Hash] steps), built on first probe of this
-     clause evaluation and never registered on the relation *)
-  let hashes = Array.make (max 1 nsteps) None in
   let emit () =
-    let tuple =
-      Array.map
-        (fun t ->
-          let v = value t in
-          assert (v >= 0);
-          v)
-        head
-    in
-    if relation_add target tuple then begin
+    for k = 0 to Array.length head - 1 do
+      let v = value head.(k) in
+      assert (v >= 0);
+      out.(k) <- v
+    done;
+    if add_row target out 0 then begin
       Budget.grow env.budget;
       if env.observe then Obs.incr "eval.derived_facts"
     end
   in
-  let rec go ~first si steps =
-    tick env;
-    match steps with
-    | [] -> emit ()
-    | (step : Plan.step) :: rest -> (
-      match step.atom with
-      | CEq (t1, t2) -> (
-        match (is_bound t1, is_bound t2) with
-        | true, true -> if value t1 = value t2 then go ~first:false (si + 1) rest
-        | true, false -> (
-          match t2 with
-          | CV i ->
-            binding.(i) <- value t1;
-            go ~first:false (si + 1) rest;
-            binding.(i) <- -1
-          | CC _ -> assert false)
-        | false, true -> (
-          match t1 with
-          | CV i ->
-            binding.(i) <- value t2;
-            go ~first:false (si + 1) rest;
-            binding.(i) <- -1
-          | CC _ -> assert false)
-        | false, false -> (
-          (* last resort: both sides range over the active domain *)
-          match (t1, t2) with
-          | CV i, CV j ->
-            Array.iter
-              (fun c ->
-                if (not first) || accept c then begin
-                  env.reads <- env.reads + 1;
-                  binding.(i) <- c;
-                  binding.(j) <- c;
-                  go ~first:false (si + 1) rest;
-                  binding.(i) <- -1;
-                  binding.(j) <- -1
-                end)
-              env.domain;
-            binding.(i) <- -1;
-            binding.(j) <- -1
-          | _ -> assert false))
-      | CDom t ->
-        if is_bound t then begin
-          (* membership in the active domain *)
-          if Hashtbl.mem env.domain_set (value t) then
-            go ~first:false (si + 1) rest
-        end
-        else (
-          match t with
-          | CV i ->
-            Array.iter
-              (fun c ->
-                if (not first) || accept c then begin
-                  env.reads <- env.reads + 1;
-                  binding.(i) <- c;
-                  go ~first:false (si + 1) rest
-                end)
-              env.domain;
-            binding.(i) <- -1
-          | CC _ -> assert false)
-      | CPred (p, ts) ->
-        let arity = Array.length ts in
-        let r = get_relation env p ~arity in
-        let matches =
-          match step.strategy with
-          | Plan.Scan ->
-            (* unbound atom or tiny relation: enumerate everything and let
-               [bind] filter any probed positions inline *)
-            Hashtbl.fold (fun t () acc -> t :: acc) r.tuples []
-          | Plan.Index ->
-            let key = List.map (fun i -> value ts.(i)) step.probe in
-            relation_lookup r step.probe key
-          | Plan.Hash ->
-            let tbl =
-              match hashes.(si) with
-              | Some tbl -> tbl
-              | None ->
-                let tbl = KeyTbl.create (max 16 (relation_size r)) in
-                Hashtbl.iter
-                  (fun tuple () ->
-                    let key = List.map (fun i -> tuple.(i)) step.probe in
-                    let cur =
-                      Option.value ~default:[] (KeyTbl.find_opt tbl key)
-                    in
-                    KeyTbl.replace tbl key (tuple :: cur))
-                  r.tuples;
-                hashes.(si) <- Some tbl;
-                tbl
-            in
-            let key = List.map (fun i -> value ts.(i)) step.probe in
-            Option.value ~default:[] (KeyTbl.find_opt tbl key)
-        in
-        List.iter
-          (fun tuple ->
-            if (not first) || accept (Hashtbl.hash tuple) then begin
-              env.reads <- env.reads + 1;
-              (* bind the unbound positions, checking intra-atom repetitions *)
-              let rec bind i undo =
-                if i = arity then begin
-                  go ~first:false (si + 1) rest;
-                  List.iter (fun j -> binding.(j) <- -1) undo
-                end
-                else
-                  match ts.(i) with
-                  | CC c -> if tuple.(i) = c then bind (i + 1) undo else List.iter (fun j -> binding.(j) <- -1) undo
-                  | CV j ->
-                    if binding.(j) >= 0 then
-                      if binding.(j) = tuple.(i) then bind (i + 1) undo
-                      else List.iter (fun j' -> binding.(j') <- -1) undo
-                    else begin
-                      binding.(j) <- tuple.(i);
-                      bind (i + 1) (j :: undo)
-                    end
-              in
-              bind 0 []
-            end)
-          matches)
+  let resolve si p =
+    let r = get_relation env p.pred ~arity:p.arity in
+    rels.(si) <- r;
+    (match p.strategy with
+    | Plan.Index -> indexes.(si) <- relation_index r p.probe
+    | Plan.Hash -> indexes.(si) <- index_build r p.probe
+    | Plan.Scan -> ());
+    r
   in
-  go ~first:true 0 plan.Plan.steps
+  let rec go si =
+    tick env;
+    if si = nsteps then emit ()
+    else
+      match steps.(si) with
+      | Pred p -> (
+        let r = if rels.(si) == unresolved then resolve si p else rels.(si) in
+        match p.strategy with
+        | Plan.Scan ->
+          (* every row; [visit] tests any bound positions inline *)
+          for row = 0 to r.size - 1 do
+            visit si p r row
+          done
+        | Plan.Index | Plan.Hash ->
+          let key = keys.(si) in
+          for k = 0 to Array.length key - 1 do
+            key.(k) <- value p.key.(k)
+          done;
+          let ix = indexes.(si) in
+          let row = ref (index_probe ix r key) in
+          while !row >= 0 do
+            visit si p r !row;
+            row := ix.next.(!row)
+          done)
+      | Eq_test (t1, t2) -> if value t1 = value t2 then go (si + 1)
+      | Eq_bind (i, t) ->
+        binding.(i) <- value t;
+        go (si + 1)
+      | Eq_sweep (i, j) ->
+        (* last resort: both sides range over the active domain *)
+        let domain = env.domain in
+        for k = 0 to Array.length domain - 1 do
+          let c = domain.(k) in
+          if si > 0 || accept c then begin
+            env.reads <- env.reads + 1;
+            binding.(i) <- c;
+            binding.(j) <- c;
+            go (si + 1)
+          end
+        done
+      | Dom_test t ->
+        let domain = env.domain in
+        if sorted_mem domain (value t) 0 (Array.length domain) then go (si + 1)
+      | Dom_sweep i ->
+        let domain = env.domain in
+        for k = 0 to Array.length domain - 1 do
+          let c = domain.(k) in
+          if si > 0 || accept c then begin
+            env.reads <- env.reads + 1;
+            binding.(i) <- c;
+            go (si + 1)
+          end
+        done
+  and visit si p r row =
+    let data = r.data and off = row * p.arity in
+    if si > 0 || (not partitioned) || accept (hash_values data off p.arity)
+    then begin
+      env.reads <- env.reads + 1;
+      if consts_hold data off p.consts 0 then begin
+        let binds = p.binds in
+        for k = 0 to (Array.length binds lsr 1) - 1 do
+          binding.(binds.((2 * k) + 1)) <- data.(off + binds.(2 * k))
+        done;
+        if agrees_hold data off binding p.agrees 0 then go (si + 1)
+      end
+    end
+  in
+  go 0
 
 (* ------------------------------------------------------------------ *)
 (* Parallel batch evaluation.
@@ -455,18 +713,16 @@ let eval_compiled env target ?keep cc =
    between strata, and between semi-naïve rounds. *)
 
 let prepare_clause env cc =
-  List.iter
-    (fun (step : Plan.step) ->
-      match step.atom with
-      | CPred (p, ts) ->
-        let r = get_relation env p ~arity:(Array.length ts) in
-        if step.strategy = Plan.Index && step.probe <> [] then
-          ignore (relation_index r step.probe)
-      | CEq _ | CDom _ -> ())
-    cc.plan.Plan.steps
+  Array.iter
+    (function
+      | Pred p ->
+        let r = get_relation env p.pred ~arity:p.arity in
+        if p.strategy = Plan.Index then ignore (relation_index r p.probe)
+      | Eq_test _ | Eq_bind _ | Eq_sweep _ | Dom_test _ | Dom_sweep _ -> ())
+    cc.steps
 
 (* How a clause's first-step search space is split across workers.  A
-   leading [CPred] enumerates tuples (partition by tuple hash); a leading
+   leading [CPred] enumerates rows (partition by row hash); a leading
    domain sweep enumerates constants (partition by constant).  Anything
    else — a leading bound [CEq]/[CDom], an empty body — explores a
    constant-size space, so the whole clause goes to one worker. *)
@@ -520,11 +776,7 @@ let eval_batch env ?(count_derived = true) pool targets assignments =
     Array.iteri
       (fun w wlocals ->
         Array.iteri
-          (fun ti local ->
-            Hashtbl.iter
-              (fun tuple () ->
-                if relation_add targets.(ti) tuple then incr added)
-              local.tuples)
+          (fun ti local -> add_all targets.(ti) local (fun _ _ _ -> incr added))
           wlocals;
         if env.observe && Obs.enabled () then
           Obs.count
@@ -740,13 +992,9 @@ let eval_fixpoint env pool ~naive (fx : cfixpoint) =
       Array.mapi
         (fun i (acc : relation) ->
           let delta = relation_create acc.arity in
-          Hashtbl.iter
-            (fun tuple () ->
-              if relation_add fulls.(i) tuple then begin
-                incr added;
-                ignore (relation_add delta tuple)
-              end)
-            acc.tuples;
+          add_all fulls.(i) acc (fun data off h ->
+              incr added;
+              ignore (add_hashed delta data off h));
           delta)
         accs
     in
@@ -860,15 +1108,12 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
             (fun (c : Abox.const) -> (c :> int))
             (Abox.individuals abox @ extra_domain)))
   in
-  let domain_set = Hashtbl.create (Array.length domain * 2) in
-  Array.iter (fun c -> Hashtbl.replace domain_set c ()) domain;
   let env =
     {
       relations = Symbol.Tbl.create 64;
       abox;
       external_edb = edb;
       domain;
-      domain_set;
       deadline;
       budget;
       observe;
@@ -975,16 +1220,47 @@ let explain ?(naive = false) ?(edb = fun _ _ -> None) q abox =
 module Internal = struct
   let relation_create = relation_create
 
-  let relation_add r tuple =
-    relation_add r (Array.of_list (List.map (fun (c : Symbol.t) -> (c :> int)) tuple))
+  let check_length what n a =
+    if Array.length a <> n then invalid_arg ("Eval.Internal: " ^ what ^ " length")
+
+  let ids what n l =
+    let a = Array.of_list (List.map (fun (c : Symbol.t) -> (c :> int)) l) in
+    check_length what n a;
+    a
+
+  let relation_add (r : relation) tuple =
+    add_row r (ids "tuple" r.arity tuple) 0
+
+  let add_row (r : relation) row =
+    check_length "row" r.arity row;
+    add_row r row 0
 
   let relation_lookup r positions key =
-    List.map
-      (fun t -> List.map Symbol.unsafe_of_int (Array.to_list t))
-      (relation_lookup r positions
-         (List.map (fun (c : Symbol.t) -> (c :> int)) key))
+    let key = ids "key" (List.length positions) key in
+    if positions = [] then List.init r.size (decode r)
+    else
+      let ix = relation_index r (Array.of_list positions) in
+      let rec walk row acc =
+        if row < 0 then acc else walk ix.next.(row) (decode r row :: acc)
+      in
+      walk (index_probe ix r key) []
+
+  let prober r positions =
+    if positions = [] then invalid_arg "Eval.Internal.prober: no positions";
+    let ix = relation_index r (Array.of_list positions) in
+    fun key ->
+      check_length "key" (List.length positions) key;
+      let count = ref 0 and row = ref (index_probe ix r key) in
+      while !row >= 0 do
+        incr count;
+        row := ix.next.(!row)
+      done;
+      !count
 
   let index_builds r = r.index_builds
-  let index_positions r = List.map fst r.indexes
+
+  let index_positions r =
+    List.map (fun ix -> Array.to_list ix.positions) r.indexes
+
   let sorted_view_memoised r = r.sorted_view <> None
 end

@@ -13,7 +13,17 @@
     baseline.  The number of generated tuples is reported, matching the
     "generated tuples" columns of Tables 3–5; [tuples_read] counts the
     tuples the matcher pulled from storage, the measure the [eval-plan]
-    bench gates on. *)
+    bench gates on.
+
+    {b Storage.}  A relation is one arity-strided [int] buffer of symbol
+    ids, a row per insertion, made a set by an open-addressed table of row
+    ids under an int-mixing hash.  An index on a position list is an
+    open-addressed table of distinct keys, each heading a chain of the rows
+    with that key, maintained on every add.  The matcher compiles each plan
+    step's checks and bindings once, from the plan's static bound set, and
+    reads, probes and adds rows in place, allocating per row only when a
+    buffer grows.  Tuples become [Symbol.t list list] only in
+    {!relation_tuples}. *)
 
 open Obda_syntax
 open Obda_data
@@ -21,7 +31,8 @@ open Obda_data
 exception Timeout
 
 type relation
-(** A set of constant tuples of fixed arity. *)
+(** A set of constant tuples of fixed arity (the storage is described in
+    the header). *)
 
 val relation_arity : relation -> int
 val relation_size : relation -> int
@@ -75,7 +86,7 @@ val run :
     [pool] enables the parallel driver: for every stratum of [Ndl.strata]
     — and every round of a recursive stratum's fixpoint — clause bodies
     are evaluated concurrently by the pool's workers (the first planned
-    atom's search space is hash-partitioned across workers) and the
+    atom's rows are partitioned across workers by row hash) and the
     derived relations are merged at the stratum or round barrier.  Plans
     are computed once per clause on the main domain, so workers know every
     index position statically and perform pure reads of the shared
@@ -98,8 +109,10 @@ val run :
 
     [edb] supplies tuples for extensional predicates not stored in the ABox
     (e.g. the n-ary relations of a mapped data source); it is consulted
-    first, with the ABox as fallback.  [extra_domain] extends the active
-    domain (⊤) beyond ind(A). *)
+    first, with the ABox as fallback.  A supplied tuple whose length is not
+    the atom's arity, like a predicate used at two arities, raises
+    [Obda_runtime.Error.Obda_error (Parse_error _)].  [extra_domain]
+    extends the active domain (⊤) beyond ind(A). *)
 
 val answers :
   ?pool:Obda_runtime.Pool.t ->
@@ -120,16 +133,32 @@ val explain :
     required for honest plans: later strata are planned against the true
     sizes of the relations the earlier ones materialised. *)
 
-(** Testing hooks for the relation internals.  The evaluator's performance
-    contract, pinned by the unit suite: an index over a position list is
-    built by a full scan exactly once per relation and maintained
-    incrementally by additions — semi-naïve re-rounds must not rebuild it —
-    and {!relation_tuples} memoises its sorted view until the next
-    mutation. *)
+(** Testing and benchmarking hooks for the relation storage (see the
+    header).  The evaluator's performance contract, pinned by the unit
+    suite: an index over a position list is built by a full scan exactly
+    once per relation and maintained incrementally by additions —
+    semi-naïve re-rounds must not rebuild it — and {!relation_tuples}
+    memoises its sorted view until the next mutation.  A [Hash] plan step
+    builds the same index per clause evaluation without registering it, so
+    it counts no build.  The hooks raise [Invalid_argument] on a tuple,
+    row or key of the wrong length. *)
 module Internal : sig
   val relation_create : int -> relation
   val relation_add : relation -> Symbol.t list -> bool
   val relation_lookup : relation -> int list -> Symbol.t list -> Symbol.t list list
+  (** The rows whose values at the positions equal the key, through the
+      maintained index on those positions (built on first use); every row
+      when the position list is empty. *)
+
+  val add_row : relation -> int array -> bool
+  (** {!relation_add} on a row of symbol ids of the relation's arity: the
+      evaluator's own add path, with no conversion. *)
+
+  val prober : relation -> int list -> int array -> int
+  (** [prober r positions] resolves the maintained index on a non-empty
+      position list (building it on first use); the function it returns
+      counts the rows matching a key of symbol ids by walking the index in
+      place, as the evaluator's [Index] steps do. *)
 
   val index_builds : relation -> int
   (** Number of full-scan index constructions performed on this relation. *)

@@ -65,6 +65,34 @@ let test_materialise () =
   check "not Researcher(e2)" false
     (Obda_data.Abox.mem_unary md (sym "Researcher") (sym "e2"))
 
+(* A mapping atom whose arity differs from its source relation's, in either
+   direction, is a parse error; so is an external row of the wrong width
+   reaching the evaluator past the mapping. *)
+let test_arity_clash () =
+  let is_parse_error f =
+    match f () with
+    | _ -> false
+    | exception Obda_runtime.Error.Obda_error (Obda_runtime.Error.Parse_error _) ->
+      true
+  in
+  let d = Source.create () in
+  Source.add_row d "emp" [ "alice" ];
+  let wide = [ Mapping.rule "Employee" [ "x" ] [ src "emp" [ v "x"; v "n" ] ] ] in
+  check "wide atom over a narrow relation" true
+    (is_parse_error (fun () -> Mapping.materialise wide d));
+  let d2 = Source.create () in
+  Source.add_row d2 "emp" [ "alice"; "ada" ];
+  let narrow = [ Mapping.rule "Employee" [ "x" ] [ src "emp" [ v "x" ] ] ] in
+  check "narrow atom over a wide relation" true
+    (is_parse_error (fun () -> Mapping.materialise narrow d2));
+  let q =
+    Ndl.make ~goal:(sym "Employee") ~goal_args:[ "x" ]
+      [ { Ndl.head = (sym "Employee", [ v "x" ]); body = [ src "emp" [ v "x"; v "n" ] ] } ]
+  in
+  check "evaluator rejects a short external row" true
+    (is_parse_error (fun () ->
+         Obda_ndl.Eval.run ~edb:(Source.edb_provider d) q (Obda_data.Abox.create ())))
+
 (* random end-to-end: materialise-then-answer = unfold-then-evaluate = chase
    over M(D) *)
 let pipeline_agreement =
@@ -125,6 +153,7 @@ let suites =
         Alcotest.test_case "source basics" `Quick test_source_basics;
         Alcotest.test_case "rule validation" `Quick test_rule_validation;
         Alcotest.test_case "materialisation" `Quick test_materialise;
+        Alcotest.test_case "source arity clashes" `Quick test_arity_clash;
         QCheck_alcotest.to_alcotest pipeline_agreement;
         Alcotest.test_case "unfolding structure" `Quick test_unfold_structure;
       ] );

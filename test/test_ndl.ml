@@ -645,6 +645,89 @@ let test_relation_sorted_view_memoised () =
     [ [ "v0" ]; [ "v1" ]; [ "v2" ] ]
     (names (Eval.relation_tuples r))
 
+(* The flat relation storage against a reference set model, per arity
+   0–3: thousands of adds with duplicates (enough for several row-set and
+   index resizes), indexes built both before and after the adds, lookups on
+   every position subset, one build per position list, and a sorted,
+   duplicate-free tuple view.  Arity 0 is the boolean goals' relation. *)
+let test_relation_model () =
+  let module I = Eval.Internal in
+  let ints = List.map (fun (c : Symbol.t) -> (c :> int)) in
+  List.iter
+    (fun arity ->
+      let rng = Random.State.make [| 2017; arity |] in
+      (* a value pool small enough that random rows repeat often *)
+      let width = [| 1; 3000; 60; 14 |].(arity) in
+      let pool =
+        Array.init width (fun i -> Symbol.intern (Printf.sprintf "m%d" i))
+      in
+      let random_row () =
+        List.init arity (fun _ -> pool.(Random.State.int rng width))
+      in
+      let r = I.relation_create arity in
+      let model = Hashtbl.create 64 in
+      let rows () = Hashtbl.fold (fun row () acc -> row :: acc) model [] in
+      let subsets =
+        List.init (1 lsl arity) (fun bits ->
+            List.filter
+              (fun i -> bits land (1 lsl i) <> 0)
+              (List.init arity Fun.id))
+      in
+      let check_lookups positions =
+        let project row = List.map (List.nth row) positions in
+        (* random keys (mostly misses) and keys of stored rows (hits) *)
+        let keys =
+          List.init 8 (fun _ -> project (random_row ()))
+          @ List.filter_map
+              (fun row ->
+                if Random.State.int rng 50 = 0 then Some (project row) else None)
+              (rows ())
+        in
+        List.iter
+          (fun key ->
+            let want = List.filter (fun row -> project row = key) (rows ()) in
+            Alcotest.(check (list (list int)))
+              (Printf.sprintf "arity %d lookup on [%s]" arity
+                 (String.concat "," (List.map string_of_int positions)))
+              (List.sort compare (List.map ints want))
+              (List.sort compare
+                 (List.map ints (I.relation_lookup r positions key))))
+          keys
+      in
+      let early, late =
+        List.partition (fun s -> List.length s mod 2 = 0) subsets
+      in
+      List.iter check_lookups early;
+      for phase = 1 to 3 do
+        for _ = 1 to 2000 do
+          let row = random_row () in
+          let fresh = not (Hashtbl.mem model row) in
+          Hashtbl.replace model row ();
+          check
+            (Printf.sprintf "arity %d add reports novelty" arity)
+            fresh (I.relation_add r row)
+        done;
+        check_int
+          (Printf.sprintf "arity %d size after phase %d" arity phase)
+          (Hashtbl.length model) (Eval.relation_size r);
+        List.iter check_lookups early
+      done;
+      List.iter check_lookups late;
+      check_int
+        (Printf.sprintf "arity %d: one build per position list" arity)
+        (List.length (List.filter (( <> ) []) subsets))
+        (I.index_builds r);
+      let view = Eval.relation_tuples r in
+      check
+        (Printf.sprintf "arity %d view sorted and duplicate-free" arity)
+        true
+        (view = List.sort_uniq compare view);
+      check
+        (Printf.sprintf "arity %d view = model" arity)
+        true
+        (view = List.sort compare (rows ())))
+    [ 0; 1; 2; 3 ]
+
 let suites =
   [
     ( "ndl",
@@ -682,5 +765,7 @@ let suites =
           test_relation_index_reuse;
         Alcotest.test_case "relation sorted view memoised" `Quick
           test_relation_sorted_view_memoised;
+        Alcotest.test_case "relation storage vs set model" `Quick
+          test_relation_model;
       ] );
   ]

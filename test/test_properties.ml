@@ -79,7 +79,8 @@ let random_instance rng tbox =
 
 (* ------------------------------------------------------------------ *)
 (* 1. agreement of every applicable algorithm with the chase, on random
-      ontologies and random tree CQs *)
+      ontologies and random tree CQs, sequentially and through a 4-worker
+      pool *)
 
 let agreement_random_omqs alg =
   QCheck.Test.make ~count:40
@@ -97,14 +98,21 @@ let agreement_random_omqs alg =
         let abox = random_instance rng tbox in
         let expected = certain_answers omq abox in
         let got = answers_via alg omq abox in
-        if expected <> got then
-          QCheck.Test.fail_reportf "tbox=%s q=%s: %d vs %d answers"
+        let got4 =
+          Obda_runtime.Pool.with_pool ~jobs:4 (fun pool ->
+              show_tuples (Omq.answer ~pool ~algorithm:alg omq abox))
+        in
+        let report what n =
+          QCheck.Test.fail_reportf "tbox=%s q=%s: %d vs %d answers (%s)"
             (String.concat "; "
                (List.map
                   (Format.asprintf "%a" Tbox.pp_axiom)
                   (Tbox.axioms tbox)))
             (Format.asprintf "%a" Cq.pp q)
-            (List.length expected) (List.length got)
+            (List.length expected) n what
+        in
+        if expected <> got then report "sequential" (List.length got)
+        else if expected <> got4 then report "4 workers" (List.length got4)
         else true
       end)
 
