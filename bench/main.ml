@@ -836,7 +836,7 @@ let par_scaling () =
 
 (* ------------------------------------------------------------------ *)
 (* Cost-based join planning + semi-naïve delta evaluation vs the naïve
-   baseline (--naive: written-order heuristic, index-only access, full
+   baseline (Eval's ~naive: written-order heuristic, index-only access, full
    re-derivation per fixpoint round), on the Table 2 datasets.  Two legs
    per dataset: the Tw rewriting of the Fig. 2 sequence (planning reorders
    the rewriting's clause bodies), and a recursive transitive closure over

@@ -355,7 +355,7 @@ let rewrite_cmd =
 
 let answer_cmd =
   let run ontology query data mapping source algorithm use_chase budget jobs
-      fallback retry fail_inconsistent explain naive inject telemetry =
+      fallback retry fail_inconsistent explain inject telemetry =
     handle_errors (fun () ->
         init_telemetry ~budget telemetry;
         arm_faults inject;
@@ -380,10 +380,9 @@ let answer_cmd =
             match data with
             | Some d ->
               let abox = Parse.data_of_file d in
-              if explain && not use_chase then
-                List.iter
-                  (fun line -> Printf.eprintf "# plan: %s\n" line)
-                  (Omq.explain ~budget ~naive ?algorithm omq abox);
+              let explain =
+                if explain then Some (Printf.eprintf "# plan: %s\n") else None
+              in
               if use_chase then
                 Omq.answer_certain ~budget ~on_inconsistent omq abox
               else if fallback || retry > 0 then begin
@@ -399,9 +398,8 @@ let answer_cmd =
                       ]
                 in
                 let r =
-                  Omq.answer_with_fallback ?pool ~budget
-                    ~retry:{ Omq.max_retries = retry; escalation = 2. }
-                    ?chain ~on_inconsistent omq abox
+                  Omq.answer_with_fallback ?pool ~budget ?explain
+                    ~retries:retry ?chain ~on_inconsistent omq abox
                 in
                 let attempt_name (a : Omq.attempt) =
                   if a.Omq.trial > 1 then
@@ -427,8 +425,8 @@ let answer_cmd =
                 r.Omq.answers
               end
               else
-                Omq.answer ?pool ~budget ~naive ~on_inconsistent ?algorithm omq
-                  abox
+                Omq.answer ?pool ~budget ?explain ~on_inconsistent ?algorithm
+                  omq abox
             | None ->
               prerr_endline "answer: provide -d, or --mapping with --source";
               exit 1)
@@ -505,18 +503,9 @@ let answer_cmd =
           ~doc:
             "Print the evaluator's chosen atom order and per-atom access \
              strategy for every clause of the rewriting as '# plan:' \
-             comment lines on stderr (with -d; ignored with --chase or \
-             --mapping).")
-  in
-  let naive_flag =
-    Arg.(
-      value & flag
-      & info [ "naive" ]
-          ~doc:
-            "Evaluate with the legacy engine — written-order heuristic, \
-             maintained-index probes only, naive fixpoint — instead of the \
-             cost-based planner and semi-naive evaluation (the eval-plan \
-             bench baseline).")
+             comment lines on stderr, as the run that computes the answers \
+             plans them (with -d; ignored with --chase or --mapping, and \
+             silent when inconsistent data is answered by the convention).")
   in
   Cmd.v
     (Cmd.info "answer"
@@ -527,7 +516,7 @@ let answer_cmd =
       const run $ ontology_arg $ query_arg $ data_opt $ mapping $ source
       $ algorithm_arg ~default:None
       $ use_chase $ budget_term $ jobs_term $ fallback $ retry
-      $ fail_inconsistent $ explain_flag $ naive_flag $ inject_term
+      $ fail_inconsistent $ explain_flag $ inject_term
       $ telemetry_term)
 
 let stats_cmd =

@@ -248,25 +248,16 @@ let consistent omq abox =
     consistency_memo := Some (omq.tbox, abox, rev, c);
     c
 
-let answer_assuming_consistent ?pool ?budget ?plan ?naive ?algorithm omq abox =
-  let alg =
-    match algorithm with Some a -> a | None -> default_algorithm omq
-  in
-  let q = rewrite ?budget ~over:`Arbitrary alg omq in
-  Eval.answers ?pool ?budget ?plan ?naive q abox
-
-let answer ?pool ?budget ?plan ?naive ?(on_inconsistent = `All_tuples)
-    ?algorithm omq abox =
+let answer ?pool ?budget ?explain ?(on_inconsistent = `All_tuples) ?algorithm
+    omq abox =
   if not (consistent omq abox) then
     inconsistent_answers ~on_inconsistent omq abox
-  else answer_assuming_consistent ?pool ?budget ?plan ?naive ?algorithm omq abox
-
-let explain ?budget ?naive ?algorithm omq abox =
-  let alg =
-    match algorithm with Some a -> a | None -> default_algorithm omq
-  in
-  let q = rewrite ?budget ~over:`Arbitrary alg omq in
-  Eval.explain ?naive q abox
+  else
+    let alg =
+      match algorithm with Some a -> a | None -> default_algorithm omq
+    in
+    let q = rewrite ?budget ~over:`Arbitrary alg omq in
+    (Eval.run ?pool ?budget ?explain q abox).answers
 
 let answer_certain ?budget ?(on_inconsistent = `All_tuples) omq abox =
   if not (consistent omq abox) then
@@ -293,11 +284,6 @@ type fallback_answer = {
   attempts : attempt list;  (** every attempt, in chain order *)
 }
 
-type retry = { max_retries : int; escalation : float }
-
-let no_retry = { max_retries = 0; escalation = 2. }
-let default_retry = { max_retries = 2; escalation = 2. }
-
 (* only step/size exhaustion is transient: escalating the sub-budget can
    help, whereas a blown wall deadline or a wrong-shaped OMQ cannot change *)
 let transient = function
@@ -312,7 +298,7 @@ let default_chain preferred =
   in
   preferred :: tail
 
-let answer_with_fallback ?pool ?(budget = Budget.none) ?(retry = no_retry)
+let answer_with_fallback ?pool ?(budget = Budget.none) ?explain ?(retries = 0)
     ?chain ?(on_inconsistent = `All_tuples) omq abox =
   let chain =
     match chain with
@@ -364,7 +350,7 @@ let answer_with_fallback ?pool ?(budget = Budget.none) ?(retry = no_retry)
                     "side conditions do not hold for this OMQ"
                 else
                   let q = rewrite ~budget:b ~over:`Arbitrary alg omq in
-                  Eval.answers ?pool ~budget:b q abox)
+                  (Eval.run ?pool ~budget:b ?explain q abox).answers)
           with
           | answers ->
             {
@@ -377,14 +363,14 @@ let answer_with_fallback ?pool ?(budget = Budget.none) ?(retry = no_retry)
                 ((Error.Not_applicable _ | Error.Budget_exhausted _) as error)
             ->
             let attempts = finish (Error error) :: attempts in
-            (* retry the same algorithm under an escalated sub-budget — but
+            (* retry the same algorithm under a doubled sub-budget — but
                only for transient exhaustion, and never once the request's
                wall deadline has passed *)
             if
               transient error
-              && trial <= retry.max_retries
+              && trial <= retries
               && not (Budget.wall_exhausted budget)
-            then run_trial (trial + 1) (factor *. retry.escalation) attempts
+            then run_trial (trial + 1) (factor *. 2.) attempts
             else try_chain attempts rest
         in
         run_trial 1 1. attempts

@@ -78,8 +78,7 @@ val rewrite :
 val answer :
   ?pool:Obda_runtime.Pool.t ->
   ?budget:Obda_runtime.Budget.t ->
-  ?plan:Obda_ndl.Eval.plan_cache ->
-  ?naive:bool ->
+  ?explain:(string -> unit) ->
   ?on_inconsistent:[ `All_tuples | `Error ] ->
   ?algorithm:algorithm -> t -> Abox.t -> Symbol.t list list
 (** Certain answers via rewriting + NDL evaluation.  Defaults to [Tw] for
@@ -97,44 +96,23 @@ val answer :
     repeated [answer] calls over the same unchanged instance run the check
     once.
 
-    [plan] and [naive] are handed to the evaluator: [plan] caches the
-    compiled program across calls (useful when the caller also memoises
-    the rewriting, as [Prepared] does — each [answer] call otherwise
-    rewrites afresh and the cache never hits), [naive] selects the legacy
-    written-order engine as a baseline. *)
-
-val answer_assuming_consistent :
-  ?pool:Obda_runtime.Pool.t ->
-  ?budget:Obda_runtime.Budget.t ->
-  ?plan:Obda_ndl.Eval.plan_cache ->
-  ?naive:bool ->
-  ?algorithm:algorithm -> t -> Abox.t -> Symbol.t list list
-(** [answer] without the consistency pre-check, for callers that maintain
-    their own consistency token (the service layer's sessions).  Unsound on
-    data whose consistency has not been established: certain answers follow
-    the paper's convention only through the check. *)
+    [explain] is handed to the {!Obda_ndl.Eval.run} that computes the
+    answers and receives one line per planned clause of the rewriting (the
+    [--explain] CLI output), under the same [budget]; it receives nothing
+    when the inconsistency convention answers, since no rewriting is
+    evaluated. *)
 
 val all_tuples : Abox.t -> int -> Symbol.t list list
 (** Every tuple over ind(A) of the given arity — the inconsistency
-    convention of Section 2, exposed for callers of
-    {!answer_assuming_consistent} that implement the convention
-    themselves. *)
+    convention of Section 2, exposed for callers that maintain their own
+    consistency token (the service layer's sessions) and implement the
+    convention themselves. *)
 
 val answer_certain :
   ?budget:Obda_runtime.Budget.t ->
   ?on_inconsistent:[ `All_tuples | `Error ] ->
   t -> Abox.t -> Symbol.t list list
 (** Ground-truth answers via the canonical model (chase), for testing. *)
-
-val explain :
-  ?budget:Obda_runtime.Budget.t ->
-  ?naive:bool ->
-  ?algorithm:algorithm -> t -> Abox.t -> string list
-(** Rewrite the OMQ and return {!Obda_ndl.Eval.explain} lines for the
-    rewriting over this instance: the evaluator's chosen atom order and
-    per-atom access strategy for every clause (the [--explain] CLI
-    output).  Evaluates the query as a side effect, so plans reflect the
-    true relation sizes. *)
 
 (** {2 Graceful degradation} *)
 
@@ -162,24 +140,11 @@ val default_chain : algorithm -> algorithm list
 (** The preferred algorithm followed by the always-applicable baselines:
     Presto*(TW), then the UCQ engines. *)
 
-type retry = {
-  max_retries : int;  (** extra trials per algorithm beyond the first *)
-  escalation : float;
-      (** multiplier applied to the step/size sub-budget limits on each
-          retry (via {!Obda_runtime.Budget.sub_scaled}) *)
-}
-
-val no_retry : retry
-(** [{ max_retries = 0; escalation = 2. }] — the default: every algorithm
-    gets exactly one trial. *)
-
-val default_retry : retry
-(** [{ max_retries = 2; escalation = 2. }]. *)
-
 val answer_with_fallback :
   ?pool:Obda_runtime.Pool.t ->
   ?budget:Obda_runtime.Budget.t ->
-  ?retry:retry ->
+  ?explain:(string -> unit) ->
+  ?retries:int ->
   ?chain:algorithm list ->
   ?on_inconsistent:[ `All_tuples | `Error ] ->
   t -> Abox.t -> fallback_answer
@@ -191,14 +156,19 @@ val answer_with_fallback :
     across attempts, so fallback never extends a request's total time
     allowance.  If every algorithm fails, the last error is re-raised.
 
-    With [~retry] (default {!no_retry}), an attempt that fails with
-    {e transient} exhaustion — [Budget_exhausted] on the steps or size of
-    its own sub-budget, never on the shared wall clock — is retried up to
-    [max_retries] times under sub-budgets whose step/size limits escalate
-    exponentially by [escalation] per trial.  A retry never starts once the
-    request's wall deadline has passed, so the total time stays bounded by
-    the deadline plus the granularity of one in-flight attempt's budget
-    check.  Every trial appears in [attempts] with its [trial] number.
+    With [~retries] (default 0: one trial per algorithm), an attempt that
+    fails with {e transient} exhaustion — [Budget_exhausted] on the steps
+    or size of its own sub-budget, never on the shared wall clock — is
+    retried up to [retries] times under sub-budgets whose step/size limits
+    double per trial (via {!Obda_runtime.Budget.sub_scaled}).  A retry
+    never starts once the request's wall deadline has passed, so the total
+    time stays bounded by the deadline plus the granularity of one
+    in-flight attempt's budget check.  Every trial appears in [attempts]
+    with its [trial] number.
+
+    [explain] is handed to every attempt's evaluation, as in {!answer}:
+    an attempt that fails mid-evaluation has already reported the plans it
+    computed, and an attempt that fails before evaluating reports none.
 
     Each attempt is additionally bracketed by an [omq.attempt] telemetry
     span (with [algorithm] and, on retries, [trial] attributes) when a sink

@@ -6,8 +6,6 @@ module Fault = Obda_runtime.Fault
 module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 
-exception Timeout
-
 (* ------------------------------------------------------------------ *)
 (* Relations
 
@@ -394,13 +392,11 @@ type env = {
   abox : Abox.t;
   external_edb : Symbol.t -> int -> Symbol.t list list option;
   domain : int array;  (* sorted, for membership by binary search *)
-  deadline : unit -> bool;
   budget : Budget.t;
   observe : bool;
       (* when false — worker domains, unobserved batch runs — the evaluator
          must not touch the global telemetry sink or the fault registry *)
   explain : (string -> unit) option;
-  mutable ticks : int;
   mutable reads : int;
       (* tuples delivered from relation storage or domain sweeps — the
          engine-work measure the eval-plan bench gates on.  First-atom
@@ -415,11 +411,6 @@ let rec sorted_mem a c lo hi =
   let mid = (lo + hi) lsr 1 in
   let v = a.(mid) in
   v = c || if v < c then sorted_mem a c (mid + 1) hi else sorted_mem a c lo mid
-
-let tick env =
-  env.ticks <- env.ticks + 1;
-  Budget.step env.budget;
-  if env.ticks land 0xFFF = 0 && env.deadline () then raise Timeout
 
 let get_relation env p ~arity =
   match Symbol.Tbl.find_opt env.relations p with
@@ -632,7 +623,7 @@ let eval_compiled env target ?keep cc =
     r
   in
   let rec go si =
-    tick env;
+    Budget.step env.budget;
     if si = nsteps then emit ()
     else
       match steps.(si) with
@@ -756,7 +747,7 @@ let eval_batch env ?(count_derived = true) pool targets assignments =
     in
     let wenvs =
       Array.init jobs (fun w ->
-          { env with budget = slices.(w); observe = false; ticks = 0; reads = 0 })
+          { env with budget = slices.(w); observe = false; reads = 0 })
     in
     Pool.run pool (fun w ->
         let wenv = wenvs.(w) in
@@ -1061,8 +1052,7 @@ let eval_fixpoint env pool ~naive (fx : cfixpoint) =
       Array.iter (fun d -> Symbol.Tbl.remove qenv.relations d) fx.fdelta
     end
   end;
-  env.reads <- qenv.reads;
-  env.ticks <- qenv.ticks
+  env.reads <- qenv.reads
 
 (* ------------------------------------------------------------------ *)
 
@@ -1098,8 +1088,8 @@ let plan_gauges cstrata =
   Obs.set_int "eval.plan.scans" !scans;
   Obs.set_int "eval.plan.reordered" !reordered
 
-let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
-    ~extra_domain ~explain (q : Ndl.query) abox =
+let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+    ~explain (q : Ndl.query) abox =
   let idb = Ndl.idb_preds q in
   let domain =
     Array.of_list
@@ -1114,11 +1104,9 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
       abox;
       external_edb = edb;
       domain;
-      deadline;
       budget;
       observe;
       explain;
-      ticks = 0;
       reads = 0;
     }
   in
@@ -1175,8 +1163,7 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
   { answers; generated_tuples; tuples_read = env.reads; idb_relations }
 
 let run ?pool ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
-    ?(deadline = fun () -> false) ?(edb = fun _ _ -> None)
-    ?(extra_domain = []) ?explain q abox =
+    ?(edb = fun _ _ -> None) ?(extra_domain = []) ?explain q abox =
   if observe then
     let attrs =
       let plan_attr =
@@ -1194,24 +1181,17 @@ let run ?pool ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
       | _ -> [])
     in
     Obs.with_span ~attrs "eval.ndl" (fun () ->
-        run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
-          ~extra_domain ~explain q abox)
+        run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+          ~explain q abox)
   else
-    run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
-      ~extra_domain ~explain q abox
+    run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+      ~explain q abox
 
-let answers ?pool ?observe ?budget ?plan ?naive q abox =
-  (run ?pool ?observe ?budget ?plan ?naive q abox).answers
+let answers ?pool ?observe ?budget ?plan q abox =
+  (run ?pool ?observe ?budget ?plan q abox).answers
 
 let boolean q abox =
   match (run q abox).answers with [] -> false | _ :: _ -> true
-
-let explain ?(naive = false) ?(edb = fun _ _ -> None) q abox =
-  let lines = ref [] in
-  ignore
-    (run ~observe:false ~naive ~edb ~explain:(fun s -> lines := s :: !lines) q
-       abox);
-  List.rev !lines
 
 (* Testing hooks: the unit suite pins the relation-internals contract —
    indexes are built by one full scan per position list and then maintained

@@ -28,8 +28,6 @@
 open Obda_syntax
 open Obda_data
 
-exception Timeout
-
 type relation
 (** A set of constant tuples of fixed arity (the storage is described in
     the header). *)
@@ -66,22 +64,23 @@ val run :
   ?naive:bool ->
   ?observe:bool ->
   ?budget:Obda_runtime.Budget.t ->
-  ?deadline:(unit -> bool) ->
   ?edb:(Symbol.t -> int -> Symbol.t list list option) ->
   ?extra_domain:Symbol.t list ->
   ?explain:(string -> unit) ->
   Ndl.query -> Abox.t -> result
-(** Raises [Timeout] whenever [deadline ()] becomes true.
-
-    [plan] caches the compiled program (clause order, per-atom strategies,
+(** [plan] caches the compiled program (clause order, per-atom strategies,
     the fixpoint's delta variants) across runs; without it every run plans
     afresh.  [naive = true] selects the legacy baseline: written-order
     heuristic, maintained-index probes only, and a naïve fixpoint that
-    re-derives every recursive clause from the full relations each round.
+    re-derives every recursive clause from the full relations each round —
+    the reference the differential tests and the [eval-plan] bench compare
+    the planner against.
 
     [explain] receives one line per planned clause (chosen order, per-atom
-    strategy, cardinality estimates) as plans are computed; a cached run
-    computes no plans and emits nothing.
+    strategy, cardinality estimates) as plans are computed, so the lines
+    describe this run: later strata are planned against the true sizes of
+    the relations earlier ones materialised.  A cached run computes no
+    plans and emits nothing.
 
     [pool] enables the parallel driver: for every stratum of [Ndl.strata]
     — and every round of a recursive stratum's fixpoint — clause bodies
@@ -103,9 +102,9 @@ val run :
     single-domain.
 
     [budget] is checked on every matcher step (a budget step per visited
-    search node, a size unit per materialised tuple); exhaustion raises
-    [Obda_runtime.Error.Obda_error (Budget_exhausted _)].  The legacy
-    [deadline] thunk is kept for callers that manage their own clock.
+    search node, with the wall clock consulted every 1024 steps, and a
+    size unit per materialised tuple); exhaustion raises
+    [Obda_runtime.Error.Obda_error (Budget_exhausted _)].
 
     [edb] supplies tuples for extensional predicates not stored in the ABox
     (e.g. the n-ary relations of a mapped data source); it is consulted
@@ -118,20 +117,12 @@ val answers :
   ?pool:Obda_runtime.Pool.t ->
   ?observe:bool ->
   ?budget:Obda_runtime.Budget.t ->
-  ?plan:plan_cache ->
-  ?naive:bool -> Ndl.query -> Abox.t -> Symbol.t list list
+  ?plan:plan_cache -> Ndl.query -> Abox.t -> Symbol.t list list
+(** The goal tuples of {!run} with the planner; the legacy baseline is
+    [run ~naive:true] only. *)
 
 val boolean : Ndl.query -> Abox.t -> bool
 (** For a 0-ary goal: whether the goal is derivable. *)
-
-val explain :
-  ?naive:bool ->
-  ?edb:(Symbol.t -> int -> Symbol.t list list option) ->
-  Ndl.query -> Abox.t -> string list
-(** Evaluate the query (unobserved) and return one line per planned clause
-    describing the chosen atom order and access strategies.  Evaluation is
-    required for honest plans: later strata are planned against the true
-    sizes of the relations the earlier ones materialised. *)
 
 (** Testing and benchmarking hooks for the relation storage (see the
     header).  The evaluator's performance contract, pinned by the unit

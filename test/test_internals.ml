@@ -9,6 +9,8 @@ module Tree_witness = Obda_rewriting.Tree_witness
 module Word_type = Obda_rewriting.Word_type
 module Ndl = Obda_ndl.Ndl
 module Eval = Obda_ndl.Eval
+module Budget = Obda_runtime.Budget
+module Error = Obda_runtime.Error
 open Helpers
 
 let check = Alcotest.(check bool)
@@ -146,7 +148,8 @@ let test_unbound_equality () =
     (show_tuples (Eval.answers q a))
 
 let test_deadline () =
-  (* a cartesian join large enough to hit the deadline *)
+  (* a cartesian join large enough to reach a wall-clock check (every 1024
+     matcher steps) *)
   let q =
     Ndl.make ~goal:(sym "Gdl") ~goal_args:[]
       [
@@ -164,11 +167,13 @@ let test_deadline () =
     random_abox ~seed:9 ~consts:40 ~unary:[] ~binary:[ "R" ] ~unary_atoms:0
       ~binary_atoms:600
   in
-  check "timeout raised" true
-    (try
-       ignore (Eval.run ~deadline:(fun () -> true) q a);
-       false
-     with Eval.Timeout -> true)
+  check "wall-clock exhaustion raised" true
+    (match Eval.run ~budget:(Budget.create ~timeout:0. ()) q a with
+    | _ -> false
+    | exception
+        Error.Obda_error
+          (Error.Budget_exhausted { resource = Error.Wall_clock; _ }) ->
+      true)
 
 let test_self_join () =
   let q =

@@ -399,7 +399,7 @@ let test_recursive_fixpoint () =
     "4 workers byte-identical to sequential" seq par;
   Alcotest.(check (list (list string)))
     "naive fixpoint byte-identical" seq
-    (show_tuples (Eval.answers ~naive:true tc a));
+    (show_tuples (Eval.run ~naive:true tc a).Eval.answers);
   Alcotest.(check (list (list string)))
     "transitive closure of a chain" expected
     (List.sort compare seq);
@@ -453,7 +453,7 @@ let test_mutual_recursion () =
     "4 workers byte-identical to sequential" seq par;
   Alcotest.(check (list (list string)))
     "naive fixpoint byte-identical" seq
-    (show_tuples (Eval.answers ~naive:true q a));
+    (show_tuples (Eval.run ~naive:true q a).Eval.answers);
   Alcotest.(check (list (list string)))
     "mutual recursion fixpoint"
     [ [ "mr0" ]; [ "mr2" ]; [ "mr4" ] ]
@@ -486,7 +486,12 @@ let test_planner_reorders () =
     in
     go 0
   in
-  (match Eval.explain q a with
+  let explain ?naive q a =
+    let lines = ref [] in
+    ignore (Eval.run ?naive ~explain:(fun l -> lines := l :: !lines) q a);
+    List.rev !lines
+  in
+  (match explain q a with
   | [ line ] ->
     check "plan marked as reordered" true (index_of line "(reordered)" <> None);
     (match (index_of line "A(x)", index_of line "R(x,y)") with
@@ -495,7 +500,7 @@ let test_planner_reorders () =
   | lines ->
     Alcotest.fail
       (Printf.sprintf "expected one plan line, got %d" (List.length lines)));
-  (match Eval.explain ~naive:true q a with
+  (match explain ~naive:true q a with
   | [ line ] ->
     check "naive plan keeps the written order" true
       (index_of line "(reordered)" = None)

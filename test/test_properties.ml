@@ -282,10 +282,11 @@ let planner_differential =
           ~binary_atoms:(8 + Random.State.int rng 6)
       in
       let planned = Eval.answers q abox in
-      let naive = Eval.answers ~naive:true q abox in
+      let naive = (Eval.run ~naive:true q abox).Eval.answers in
       let par, par_naive =
         Obda_runtime.Pool.with_pool ~jobs:4 (fun pool ->
-            (Eval.answers ~pool q abox, Eval.answers ~pool ~naive:true q abox))
+            ( Eval.answers ~pool q abox,
+              (Eval.run ~pool ~naive:true q abox).Eval.answers ))
       in
       if planned <> naive then
         QCheck.Test.fail_reportf "planned vs naive: %d vs %d answers"

@@ -180,13 +180,14 @@ let test_rewriter_budget () =
   | Some _ -> ()
   | None -> Alcotest.fail "expected the Tw rewriter to hit a 1-step budget"
 
-let test_eval_budget () =
+(* a two-hop path query over a dense R graph: cheap to rewrite, costly to
+   evaluate *)
+let two_hop_omq () =
   let tbox = Tbox.make [] in
   let q =
     Cq.make ~answer:[ "x"; "z" ]
       [ Cq.Binary (sym "R", "x", "y"); Cq.Binary (sym "R", "y", "z") ]
   in
-  let omq = Omq.make tbox q in
   let abox = Obda_data.Abox.create () in
   for i = 0 to 40 do
     for j = 0 to 40 do
@@ -196,6 +197,10 @@ let test_eval_budget () =
           (sym (Printf.sprintf "c%d" j))
     done
   done;
+  (Omq.make tbox q, abox)
+
+let test_eval_budget () =
+  let omq, abox = two_hop_omq () in
   let unbudgeted = Omq.answer ~algorithm:Omq.Tw omq abox in
   check "unbudgeted evaluation answers" true (unbudgeted <> []);
   match
@@ -206,6 +211,38 @@ let test_eval_budget () =
   with
   | Some _ -> ()
   | None -> Alcotest.fail "expected evaluation to hit a 100-step budget"
+
+let test_answer_explain () =
+  (* [~explain] reports the plans of the run that answers, under the same
+     budget: no second, unbudgeted evaluation *)
+  let omq, abox = two_hop_omq () in
+  let explained ?budget () =
+    let lines = ref 0 in
+    match
+      Omq.answer ?budget ~explain:(fun _ -> incr lines) ~algorithm:Omq.Tw omq
+        abox
+    with
+    | answers -> (Ok answers, !lines)
+    | exception Error.Obda_error e -> (Error e, !lines)
+  in
+  let answers, planned = explained () in
+  check "same answers as without explain" true
+    (answers = Ok (Omq.answer ~algorithm:Omq.Tw omq abox));
+  check "at least one plan line" true (planned > 0);
+  let budget () = Budget.create ~max_steps:100 () in
+  check "the rewriting fits the step budget" true
+    (Obda_ndl.Ndl.num_clauses (Omq.rewrite ~budget:(budget ()) Omq.Tw omq) > 0);
+  let plain =
+    match Omq.answer ~budget:(budget ()) ~algorithm:Omq.Tw omq abox with
+    | _ -> Alcotest.fail "expected plain evaluation to exhaust 100 steps"
+    | exception
+        Error.Obda_error
+          (Error.Budget_exhausted { resource = Error.Steps; _ } as e) ->
+      e
+  in
+  let outcome, cut = explained ~budget:(budget ()) () in
+  check "explain exhausts the same step budget" true (outcome = Error plain);
+  check "plans stop where the budget stops the run" true (cut < planned)
 
 let test_sub_budget_shares_deadline () =
   (* a step cap far beyond the 1024-step clock-check interval, so the
@@ -571,9 +608,7 @@ let test_retry_escalates_to_success () =
   Fault.arm [ Fault.directive Fault.eval_ndl_round (Fault.Nth 1) ];
   let r =
     Fun.protect ~finally:Fault.disarm (fun () ->
-        Omq.answer_with_fallback
-          ~retry:{ Omq.max_retries = 3; escalation = 2. }
-          ~chain:[ Omq.Ucq ] omq abox)
+        Omq.answer_with_fallback ~retries:3 ~chain:[ Omq.Ucq ] omq abox)
   in
   check "answered by the retried algorithm" true
     (r.Omq.answered_by = Some Omq.Ucq);
@@ -594,7 +629,7 @@ let test_retry_escalates_to_success () =
 
 let test_retry_stops_at_the_wall () =
   (* an already-expired deadline: transient failures must not be retried,
-     however generous max_retries is — each algorithm in the chain gets
+     however many retries are allowed — each algorithm in the chain gets
      exactly one trial and the typed error propagates *)
   let omq = cyclic_omq () in
   let abox = triangle_abox () in
@@ -605,7 +640,7 @@ let test_retry_stops_at_the_wall () =
             match
               Omq.answer_with_fallback
                 ~budget:(Budget.create ~timeout:0.0 ())
-                ~retry:{ Omq.max_retries = 1_000; escalation = 2. }
+                ~retries:1_000
                 ~chain:[ Omq.Ucq_condensed; Omq.Ucq ] omq abox
             with
             | _ -> `Answered
@@ -634,7 +669,7 @@ let test_retry_bounded_by_deadline () =
             match
               Omq.answer_with_fallback
                 ~budget:(Budget.create ~timeout:allowance ())
-                ~retry:{ Omq.max_retries = 1_000_000; escalation = 1. }
+                ~retries:1_000_000
                 ~chain:[ Omq.Ucq ] omq abox
             with
             | _ -> `Answered
@@ -811,6 +846,8 @@ let suites =
         Alcotest.test_case "wall-clock budget" `Quick test_deadline_budget;
         Alcotest.test_case "rewriter budget" `Quick test_rewriter_budget;
         Alcotest.test_case "evaluation budget" `Quick test_eval_budget;
+        Alcotest.test_case "explain under the budget" `Quick
+          test_answer_explain;
         Alcotest.test_case "sub-budget semantics" `Quick
           test_sub_budget_shares_deadline;
         Alcotest.test_case "fallback recovers" `Quick test_fallback_recovers;
