@@ -541,27 +541,55 @@ let micro () =
   let grid = I.relation_create 2 in
   Array.iter (fun row -> ignore (I.add_row grid row)) rows;
   let probe = I.prober grid [ 0; 1 ] in
+  (* The ABox write path over the 4.ttl store at scale 0.05 (about 40,000
+     atoms), one operation per run: the first writes after freezes — a run
+     is a snapshot, an assert, a snapshot and a retract of one unary fact,
+     the pattern of a served ASSERT/RETRACT between ANSWERs — and a
+     retraction, asserted back in the same run. *)
+  let module Abox = Obda_data.Abox in
+  let _, _, store =
+    build_dataset ~scale:0.05 tbox (List.nth Obda_data.Generate.table2_params 3)
+  in
+  let fresh_pred = Symbol.intern "W" and fresh_const = Symbol.intern "w0" in
+  let pred = List.hd (Abox.unary_preds store) in
+  let member = List.hd (Abox.unary_members store pred) in
   let layer =
     [
       ( "relation_add_ns",
+        n,
         Test.make ~name:"ndl:relation-add(60k binary rows)"
           (Staged.stage (fun () ->
                let r = I.relation_create 2 in
                Array.iter (fun row -> ignore (I.add_row r row)) rows)) );
       ( "index_probe_ns",
+        n,
         Test.make ~name:"ndl:index-probe(60k binary rows)"
           (Staged.stage (fun () ->
                Array.iter (fun key -> ignore (probe key)) rows)) );
+      ( "abox_write_after_freeze_ns",
+        1,
+        Test.make ~name:"abox:assert+retract-after-freeze"
+          (Staged.stage (fun () ->
+               ignore (Abox.snapshot store);
+               Abox.add_unary store fresh_pred fresh_const;
+               ignore (Abox.snapshot store);
+               ignore (Abox.remove_unary store fresh_pred fresh_const))) );
+      ( "abox_retract_ns",
+        1,
+        Test.make ~name:"abox:retract"
+          (Staged.stage (fun () ->
+               ignore (Abox.remove_unary store pred member);
+               Abox.add_unary store pred member)) );
     ]
   in
-  let analyzed = estimates (List.map snd layer) in
+  let analyzed = estimates (List.map (fun (_, _, test) -> test) layer) in
   List.iter
-    (fun (key, test) ->
+    (fun (key, ops, test) ->
       let name = "obda/" ^ Test.name test in
       let est = Hashtbl.find_opt analyzed name in
       match Option.bind est Analyze.OLS.estimates with
       | Some [ t ] ->
-        let per_op = t /. float_of_int n in
+        let per_op = t /. float_of_int ops in
         record_float key per_op;
         Printf.printf "%-42s %14.1f ns/op\n" name per_op
       | _ -> Printf.printf "%-42s (no estimate)\n" name)

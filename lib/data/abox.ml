@@ -13,10 +13,12 @@ let pp_fact ppf = function
     Format.fprintf ppf "%a(%a,%a)" Symbol.pp p Symbol.pp c Symbol.pp d
 
 (* Per-predicate storage.  Unary: set of constants.  Binary: set of pairs
-   plus forward and backward adjacency. *)
-type unary_rel = unit Symbol.Tbl.t
+   plus forward and backward adjacency.  Each relation is stamped with the
+   epoch of the one record that may write it in place. *)
+type unary_rel = { uepoch : int; members : unit Symbol.Tbl.t }
 
 type binary_rel = {
+  bepoch : int;
   pairs : (const * const, unit) Hashtbl.t;
   fwd : const list Symbol.Tbl.t;
   bwd : const list Symbol.Tbl.t;
@@ -25,192 +27,52 @@ type binary_rel = {
 type t = {
   mutable unary : unary_rel Symbol.Tbl.t;
   mutable binary : binary_rel Symbol.Tbl.t;
-  mutable inds : unit Symbol.Tbl.t;
+  mutable epoch : int;
+      (* copy-on-write: this record writes in place only the predicate
+         tables and relations stamped with its epoch, and [snapshot] gives
+         both records fresh ones *)
+  mutable tables_epoch : int;  (* the stamp of [unary] and [binary] *)
+  mutable inds : Symbol.Set.t;  (* ind(A); persistent, so snapshots share it *)
+  mutable num_inds : int;
+  mutable occurrences : int ref Symbol.Tbl.t option;
+      (* argument positions held by each individual, the reference count
+         behind [inds]; owned by the one record that writes it, so a
+         snapshot starts without and counts afresh on its first write *)
   mutable atom_count : int;
   mutable revision : int;
       (* bumped on every effective mutation: change detection for consumers
          that cache work derived from the instance (consistency checks,
          materialisations) *)
-  mutable shared : bool;
-      (* the tables are shared with at least one [snapshot]; the next
-         mutation must [unshare] first (copy-on-write) *)
 }
 
+let epochs = Atomic.make 0
+let fresh_epoch () = Atomic.fetch_and_add epochs 1
+
 let create () =
+  let epoch = fresh_epoch () in
   {
     unary = Symbol.Tbl.create 16;
     binary = Symbol.Tbl.create 16;
-    inds = Symbol.Tbl.create 64;
+    epoch;
+    tables_epoch = epoch;
+    inds = Symbol.Set.empty;
+    num_inds = 0;
+    occurrences = Some (Symbol.Tbl.create 64);
     atom_count = 0;
     revision = 0;
-    shared = false;
   }
 
 let revision a = a.revision
 
-(* O(1) freeze: both records now point at the same tables, and both carry
-   [shared = true], so whichever side is mutated first pays the copy. *)
+(* O(1) freeze: neither record's epoch now matches any table, so whichever
+   side writes a predicate first pays for copying it. *)
 let snapshot a =
-  a.shared <- true;
-  {
-    unary = a.unary;
-    binary = a.binary;
-    inds = a.inds;
-    atom_count = a.atom_count;
-    revision = a.revision;
-    shared = true;
-  }
-
-let copy_binary_rel rel =
-  {
-    pairs = Hashtbl.copy rel.pairs;
-    fwd = Symbol.Tbl.copy rel.fwd;
-    bwd = Symbol.Tbl.copy rel.bwd;
-  }
-
-(* First mutation after a [snapshot]: replace the shared tables with private
-   copies.  Two levels deep — the outer per-predicate tables and the inner
-   relation tables — but not the adjacency lists, which are immutable. *)
-let unshare a =
-  if a.shared then begin
-    let unary = Symbol.Tbl.create (max 16 (Symbol.Tbl.length a.unary)) in
-    Symbol.Tbl.iter
-      (fun p rel -> Symbol.Tbl.add unary p (Symbol.Tbl.copy rel))
-      a.unary;
-    let binary = Symbol.Tbl.create (max 16 (Symbol.Tbl.length a.binary)) in
-    Symbol.Tbl.iter
-      (fun p rel -> Symbol.Tbl.add binary p (copy_binary_rel rel))
-      a.binary;
-    a.unary <- unary;
-    a.binary <- binary;
-    a.inds <- Symbol.Tbl.copy a.inds;
-    a.shared <- false
-  end
-
-let note_ind a c = if not (Symbol.Tbl.mem a.inds c) then Symbol.Tbl.add a.inds c ()
-
-(* Every mutator tests for effectiveness on the (possibly shared) tables
-   first — a no-op add or remove must not pay the copy — and only then
-   unshares and re-resolves the relation from the private tables. *)
-
-let add_unary a p c =
-  let present =
-    match Symbol.Tbl.find_opt a.unary p with
-    | Some rel -> Symbol.Tbl.mem rel c
-    | None -> false
-  in
-  if not present then begin
-    unshare a;
-    let rel =
-      match Symbol.Tbl.find_opt a.unary p with
-      | Some r -> r
-      | None ->
-        let r = Symbol.Tbl.create 64 in
-        Symbol.Tbl.add a.unary p r;
-        r
-    in
-    Symbol.Tbl.add rel c ();
-    a.atom_count <- a.atom_count + 1;
-    a.revision <- a.revision + 1;
-    note_ind a c
-  end
-
-let add_binary a p c d =
-  let present =
-    match Symbol.Tbl.find_opt a.binary p with
-    | Some rel -> Hashtbl.mem rel.pairs (c, d)
-    | None -> false
-  in
-  if not present then begin
-    unshare a;
-    let rel =
-      match Symbol.Tbl.find_opt a.binary p with
-      | Some r -> r
-      | None ->
-        let r =
-          {
-            pairs = Hashtbl.create 64;
-            fwd = Symbol.Tbl.create 64;
-            bwd = Symbol.Tbl.create 64;
-          }
-        in
-        Symbol.Tbl.add a.binary p r;
-        r
-    in
-    Hashtbl.add rel.pairs (c, d) ();
-    let push tbl k v =
-      let cur = Option.value ~default:[] (Symbol.Tbl.find_opt tbl k) in
-      Symbol.Tbl.replace tbl k (v :: cur)
-    in
-    push rel.fwd c d;
-    push rel.bwd d c;
-    a.atom_count <- a.atom_count + 1;
-    a.revision <- a.revision + 1;
-    note_ind a c;
-    note_ind a d
-  end
-
-let add_role a (r : Role.t) c d =
-  if Role.is_inverse r then add_binary a r.Role.base d c
-  else add_binary a r.Role.base c d
-
-(* Removal is rare (interactive retraction), so recomputing the individual
-   set from scratch keeps the common read paths simple. *)
-let recompute_inds a =
-  Symbol.Tbl.reset a.inds;
-  Symbol.Tbl.iter
-    (fun _ rel -> Symbol.Tbl.iter (fun c () -> note_ind a c) rel)
-    a.unary;
-  Symbol.Tbl.iter
-    (fun _ rel ->
-      Hashtbl.iter
-        (fun (c, d) () ->
-          note_ind a c;
-          note_ind a d)
-        rel.pairs)
-    a.binary
-
-let remove_unary a p c =
-  match Symbol.Tbl.find_opt a.unary p with
-  | Some rel when Symbol.Tbl.mem rel c ->
-    unshare a;
-    let rel = Option.get (Symbol.Tbl.find_opt a.unary p) in
-    Symbol.Tbl.remove rel c;
-    a.atom_count <- a.atom_count - 1;
-    a.revision <- a.revision + 1;
-    recompute_inds a;
-    true
-  | _ -> false
-
-let remove_binary a p c d =
-  match Symbol.Tbl.find_opt a.binary p with
-  | Some rel when Hashtbl.mem rel.pairs (c, d) ->
-    unshare a;
-    let rel = Option.get (Symbol.Tbl.find_opt a.binary p) in
-    Hashtbl.remove rel.pairs (c, d);
-    let drop tbl k v =
-      let cur = Option.value ~default:[] (Symbol.Tbl.find_opt tbl k) in
-      Symbol.Tbl.replace tbl k (List.filter (fun x -> not (Symbol.equal x v)) cur)
-    in
-    drop rel.fwd c d;
-    drop rel.bwd d c;
-    a.atom_count <- a.atom_count - 1;
-    a.revision <- a.revision + 1;
-    recompute_inds a;
-    true
-  | _ -> false
-
-let add_fact a = function
-  | Concept_assertion (p, c) -> add_unary a p c
-  | Role_assertion (p, c, d) -> add_binary a p c d
-
-let remove_fact a = function
-  | Concept_assertion (p, c) -> remove_unary a p c
-  | Role_assertion (p, c, d) -> remove_binary a p c d
+  a.epoch <- fresh_epoch ();
+  { a with epoch = fresh_epoch (); occurrences = None }
 
 let mem_unary a p c =
   match Symbol.Tbl.find_opt a.unary p with
-  | Some rel -> Symbol.Tbl.mem rel c
+  | Some rel -> Symbol.Tbl.mem rel.members c
   | None -> false
 
 let mem_binary a p c d =
@@ -226,11 +88,169 @@ let mem_fact a = function
   | Concept_assertion (p, c) -> mem_unary a p c
   | Role_assertion (p, c, d) -> mem_binary a p c d
 
-let individuals a =
-  Symbol.Tbl.fold (fun c () acc -> c :: acc) a.inds []
-  |> List.sort Symbol.compare
+(* One more argument position held by [c]; [true] when it is [c]'s first. *)
+let bump occ c =
+  match Symbol.Tbl.find_opt occ c with
+  | Some n ->
+    incr n;
+    false
+  | None ->
+    Symbol.Tbl.add occ c (ref 1);
+    true
 
-let num_individuals a = Symbol.Tbl.length a.inds
+(* The first write after a [snapshot] copies the predicate tables, not the
+   relations they hold; on a snapshot it also counts the occurrences it
+   will maintain from then on. *)
+let own_tables a =
+  if a.tables_epoch <> a.epoch then begin
+    a.unary <- Symbol.Tbl.copy a.unary;
+    a.binary <- Symbol.Tbl.copy a.binary;
+    a.tables_epoch <- a.epoch
+  end;
+  match a.occurrences with
+  | Some _ -> ()
+  | None ->
+    let occ = Symbol.Tbl.create (max 64 a.num_inds) in
+    let count c = ignore (bump occ c) in
+    Symbol.Tbl.iter
+      (fun _ rel -> Symbol.Tbl.iter (fun c () -> count c) rel.members)
+      a.unary;
+    Symbol.Tbl.iter
+      (fun _ rel ->
+        Hashtbl.iter
+          (fun (c, d) () ->
+            count c;
+            count d)
+          rel.pairs)
+      a.binary;
+    a.occurrences <- Some occ
+
+(* [p]'s relation, writable in place: copied first unless [a] owns it. *)
+let own_unary a p =
+  own_tables a;
+  match Symbol.Tbl.find_opt a.unary p with
+  | Some rel when rel.uepoch = a.epoch -> rel.members
+  | found ->
+    let members =
+      match found with
+      | Some rel -> Symbol.Tbl.copy rel.members
+      | None -> Symbol.Tbl.create 64
+    in
+    Symbol.Tbl.replace a.unary p { uepoch = a.epoch; members };
+    members
+
+let own_binary a p =
+  own_tables a;
+  match Symbol.Tbl.find_opt a.binary p with
+  | Some rel when rel.bepoch = a.epoch -> rel
+  | found ->
+    let rel =
+      match found with
+      | Some rel ->
+        {
+          bepoch = a.epoch;
+          pairs = Hashtbl.copy rel.pairs;
+          fwd = Symbol.Tbl.copy rel.fwd;
+          bwd = Symbol.Tbl.copy rel.bwd;
+        }
+      | None ->
+        {
+          bepoch = a.epoch;
+          pairs = Hashtbl.create 64;
+          fwd = Symbol.Tbl.create 64;
+          bwd = Symbol.Tbl.create 64;
+        }
+    in
+    Symbol.Tbl.replace a.binary p rel;
+    rel
+
+(* One argument position of an atom gained or lost by [c]; ind(A) changes
+   when its count leaves or reaches zero.  Called after [own_tables]. *)
+let occur a c =
+  if bump (Option.get a.occurrences) c then begin
+    a.inds <- Symbol.Set.add c a.inds;
+    a.num_inds <- a.num_inds + 1
+  end
+
+let vacate a c =
+  let occ = Option.get a.occurrences in
+  let n = Symbol.Tbl.find occ c in
+  decr n;
+  if !n = 0 then begin
+    Symbol.Tbl.remove occ c;
+    a.inds <- Symbol.Set.remove c a.inds;
+    a.num_inds <- a.num_inds - 1
+  end
+
+(* Every mutator tests for effectiveness on the (possibly shared) tables
+   first, so a no-op add or remove copies nothing. *)
+
+let add_unary a p c =
+  if not (mem_unary a p c) then begin
+    Symbol.Tbl.add (own_unary a p) c ();
+    a.atom_count <- a.atom_count + 1;
+    a.revision <- a.revision + 1;
+    occur a c
+  end
+
+let add_binary a p c d =
+  if not (mem_binary a p c d) then begin
+    let rel = own_binary a p in
+    Hashtbl.add rel.pairs (c, d) ();
+    let push tbl k v =
+      let cur = Option.value ~default:[] (Symbol.Tbl.find_opt tbl k) in
+      Symbol.Tbl.replace tbl k (v :: cur)
+    in
+    push rel.fwd c d;
+    push rel.bwd d c;
+    a.atom_count <- a.atom_count + 1;
+    a.revision <- a.revision + 1;
+    occur a c;
+    occur a d
+  end
+
+let add_role a (r : Role.t) c d =
+  if Role.is_inverse r then add_binary a r.Role.base d c
+  else add_binary a r.Role.base c d
+
+let remove_unary a p c =
+  if mem_unary a p c then begin
+    Symbol.Tbl.remove (own_unary a p) c;
+    a.atom_count <- a.atom_count - 1;
+    a.revision <- a.revision + 1;
+    vacate a c;
+    true
+  end
+  else false
+
+let remove_binary a p c d =
+  if mem_binary a p c d then begin
+    let rel = own_binary a p in
+    Hashtbl.remove rel.pairs (c, d);
+    let drop tbl k v =
+      let cur = Option.value ~default:[] (Symbol.Tbl.find_opt tbl k) in
+      Symbol.Tbl.replace tbl k (List.filter (fun x -> not (Symbol.equal x v)) cur)
+    in
+    drop rel.fwd c d;
+    drop rel.bwd d c;
+    a.atom_count <- a.atom_count - 1;
+    a.revision <- a.revision + 1;
+    vacate a c;
+    vacate a d;
+    true
+  end
+  else false
+
+let add_fact a = function
+  | Concept_assertion (p, c) -> add_unary a p c
+  | Role_assertion (p, c, d) -> add_binary a p c d
+
+let remove_fact a = function
+  | Concept_assertion (p, c) -> remove_unary a p c
+  | Role_assertion (p, c, d) -> remove_binary a p c d
+
+let individuals a = Symbol.Set.elements a.inds
+let num_individuals a = a.num_inds
 let num_atoms a = a.atom_count
 
 let unary_preds a =
@@ -242,7 +262,7 @@ let binary_preds a =
 
 let unary_members a p =
   match Symbol.Tbl.find_opt a.unary p with
-  | Some rel -> Symbol.Tbl.fold (fun c () acc -> c :: acc) rel []
+  | Some rel -> Symbol.Tbl.fold (fun c () acc -> c :: acc) rel.members []
   | None -> []
 
 let binary_members a p =
@@ -268,7 +288,9 @@ let to_facts a =
   let unary =
     Symbol.Tbl.fold
       (fun p rel acc ->
-        Symbol.Tbl.fold (fun c () acc -> Concept_assertion (p, c) :: acc) rel acc)
+        Symbol.Tbl.fold
+          (fun c () acc -> Concept_assertion (p, c) :: acc)
+          rel.members acc)
       a.unary []
   in
   Symbol.Tbl.fold
@@ -415,6 +437,11 @@ let deserialize s =
     corrupt "unsupported ABox format version %d (expected %d)" version
       format_version;
   let nsyms = get_u32 "dictionary size" in
+  (* every entry starts with a 4-byte length: reject a count the bytes left
+     cannot hold before it sizes an allocation *)
+  let left = String.length s - !pos in
+  if nsyms > left / 4 then
+    corrupt "dictionary size %d exceeds the %d bytes left" nsyms left;
   let dict =
     Array.init nsyms (fun i ->
         let len = get_u32 "dictionary entry length" in
@@ -533,6 +560,9 @@ let is_complete tbox a =
   num_atoms completed = num_atoms a
 
 let consistent tbox a =
+  (* only a ⊥-axiom can clash: without one, ind(A) is not even listed *)
+  (not (Tbox.has_bottom tbox))
+  ||
   let inds = individuals a in
   let concept_clash =
     List.exists

@@ -41,14 +41,19 @@ val revision : t -> int
 
 val snapshot : t -> t
 (** An O(1) copy-on-write snapshot: the result shares the live instance's
-    tables and carries its current {!revision}.  The first effective
-    mutation on either side — original or snapshot — copies the shared
-    tables before writing, so a snapshot is immutable for as long as its
-    holder does not mutate it, no matter what happens to the original.
-    This is the isolation mechanism behind the query service: every
-    [ANSWER]/[BATCH] evaluates against a frozen revision while concurrent
-    writers advance the live store to new ones.  Snapshots of snapshots
-    are equally O(1).
+    tables and ind(A) and carries its current {!revision}.  Copy-on-write
+    is per predicate: the first effective mutation of predicate [p] on
+    either side — original or snapshot — copies the predicate map, in
+    O(#predicates), and [p]'s relation, in O(|p|), then writes the copy;
+    later writes to [p] on that side go in place.  ind(A) is persistent
+    and needs no copy.  The first write to a snapshot also counts the
+    occurrences of its individuals once, in O(|A|), since the counts
+    belong to the record that maintains them.  So a snapshot is immutable
+    for as long as its holder does not mutate it, no matter what happens
+    to the original.  This is the isolation mechanism behind the query
+    service: every [ANSWER]/[BATCH] evaluates against a frozen revision
+    while concurrent writers advance the live store to new ones.
+    Snapshots of snapshots are equally O(1).
 
     Mutation and snapshotting on the same instance must still be
     serialised externally (the service session holds its lock around
@@ -63,9 +68,13 @@ val mem_role : t -> Role.t -> const -> const -> bool
 val mem_fact : t -> fact -> bool
 
 val individuals : t -> const list
-(** ind(A), sorted. *)
+(** ind(A), sorted, in O(|ind(A)|): the set is maintained by every write
+    (a retraction drops an individual when its last atom goes) and shared
+    by snapshots. *)
 
 val num_individuals : t -> int
+(** |ind(A)|, in O(1). *)
+
 val num_atoms : t -> int
 val unary_preds : t -> Symbol.t list
 val binary_preds : t -> Symbol.t list

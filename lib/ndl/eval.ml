@@ -391,7 +391,10 @@ type env = {
   relations : relation Symbol.Tbl.t;  (* EDB (from the ABox) and IDB *)
   abox : Abox.t;
   external_edb : Symbol.t -> int -> Symbol.t list list option;
-  domain : int array;  (* sorted, for membership by binary search *)
+  domain : int array Lazy.t;
+      (* ⊤, sorted for membership by binary search; built on first use, and
+         before [Pool.run] when a worker may read it: forcing is not
+         domain-safe *)
   budget : Budget.t;
   observe : bool;
       (* when false — worker domains, unobserved batch runs — the evaluator
@@ -523,7 +526,7 @@ let stats_of_env env ~transient =
           Option.map (fun ix -> ix.keys) (find_index r (Array.of_list probe))
         | None -> None);
     transient = (fun p -> Symbol.Set.mem p transient);
-    domain = Array.length env.domain;
+    domain = Array.length (Lazy.force env.domain);
   }
 
 let compile_and_plan env ~naive ~transient (c : Ndl.clause) =
@@ -652,7 +655,7 @@ let eval_compiled env target ?keep cc =
         go (si + 1)
       | Eq_sweep (i, j) ->
         (* last resort: both sides range over the active domain *)
-        let domain = env.domain in
+        let domain = Lazy.force env.domain in
         for k = 0 to Array.length domain - 1 do
           let c = domain.(k) in
           if si > 0 || accept c then begin
@@ -663,10 +666,10 @@ let eval_compiled env target ?keep cc =
           end
         done
       | Dom_test t ->
-        let domain = env.domain in
+        let domain = Lazy.force env.domain in
         if sorted_mem domain (value t) 0 (Array.length domain) then go (si + 1)
       | Dom_sweep i ->
-        let domain = env.domain in
+        let domain = Lazy.force env.domain in
         for k = 0 to Array.length domain - 1 do
           let c = domain.(k) in
           if si > 0 || accept c then begin
@@ -709,7 +712,8 @@ let prepare_clause env cc =
       | Pred p ->
         let r = get_relation env p.pred ~arity:p.arity in
         if p.strategy = Plan.Index then ignore (relation_index r p.probe)
-      | Eq_test _ | Eq_bind _ | Eq_sweep _ | Dom_test _ | Dom_sweep _ -> ())
+      | Eq_sweep _ | Dom_test _ | Dom_sweep _ -> ignore (Lazy.force env.domain)
+      | Eq_test _ | Eq_bind _ -> ())
     cc.steps
 
 (* How a clause's first-step search space is split across workers.  A
@@ -1092,11 +1096,13 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
     ~explain (q : Ndl.query) abox =
   let idb = Ndl.idb_preds q in
   let domain =
-    Array.of_list
-      (List.sort_uniq Int.compare
-         (List.map
-            (fun (c : Abox.const) -> (c :> int))
-            (Abox.individuals abox @ extra_domain)))
+    lazy
+      (let ids = List.map (fun (c : Abox.const) -> (c :> int)) in
+       let inds = Abox.individuals abox in
+       Array.of_list
+         (match extra_domain with
+         | [] -> ids inds
+         | extra -> List.sort_uniq Int.compare (ids (inds @ extra))))
   in
   let env =
     {

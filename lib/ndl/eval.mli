@@ -111,7 +111,13 @@ val run :
     first, with the ABox as fallback.  A supplied tuple whose length is not
     the atom's arity, like a predicate used at two arities, raises
     [Obda_runtime.Error.Obda_error (Parse_error _)].  [extra_domain]
-    extends the active domain (⊤) beyond ind(A). *)
+    extends the active domain (⊤) beyond ind(A).
+
+    ⊤ is built on demand, from {!Abox.individuals} (sorted already; only a
+    non-empty [extra_domain] costs a sort): by the planner's statistics,
+    by a [Dom] step or an [Eq] step that binds both sides from ⊤, or
+    before the pool runs a clause with such a step.  A run on a cached
+    plan that has no such step does no work proportional to ind(A). *)
 
 val answers :
   ?pool:Obda_runtime.Pool.t ->

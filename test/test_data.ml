@@ -136,8 +136,8 @@ let test_snapshot_isolation () =
 let test_snapshot_mutable_both_ways () =
   let a = abox_of_facts [ `U ("A", "c1") ] in
   let s = Abox.snapshot a in
-  (* the snapshot itself is a first-class store: mutating it unshares
-     without disturbing the original *)
+  (* the snapshot itself is a first-class store: mutating it copies what
+     it writes without disturbing the original *)
   Abox.add_unary s (sym "B") (sym "c1");
   check "snapshot sees its own write" true (Abox.mem_unary s (sym "B") (sym "c1"));
   check "original does not" false (Abox.mem_unary a (sym "B") (sym "c1"));
@@ -153,7 +153,7 @@ let test_snapshot_noop_mutations () =
   let r0 = Abox.revision a in
   let s = Abox.snapshot a in
   (* ineffective mutations must not bump the revision (and, internally,
-     must not pay the unshare copy) *)
+     must not pay the copy) *)
   Abox.add_unary a (sym "A") (sym "c1");
   check "removing an absent fact is false" false
     (Abox.remove_unary a (sym "B") (sym "c1"));
@@ -161,7 +161,7 @@ let test_snapshot_noop_mutations () =
     (Abox.remove_binary a (sym "S") (sym "c1") (sym "c2"));
   check_int "no-ops leave the revision alone" r0 (Abox.revision a);
   check_int "snapshot untouched" 2 (Abox.num_atoms s);
-  (* individuals recompute correctly on the unshared copy after a retract *)
+  (* individuals stay correct on the live store after a retract *)
   check "retract c2's only atom" true
     (Abox.remove_binary a (sym "R") (sym "c1") (sym "c2"));
   check_int "live individuals recomputed" 1 (Abox.num_individuals a);

@@ -300,6 +300,125 @@ let planner_differential =
       else true)
 
 (* ------------------------------------------------------------------ *)
+(* Snapshot isolation, against a set model: random interleavings of adds
+   and removes (self-loops included), snapshots of the live store and of
+   snapshots, and writes to snapshots.  After every step each record must
+   read exactly its own model, and its revision must count its own
+   effective writes. *)
+
+module Fact_set = Set.Make (struct
+  type t = Abox.fact
+
+  let compare = compare
+end)
+
+let snapshot_isolation =
+  let consts = List.map sym [ "c0"; "c1"; "c2" ] in
+  let unary = List.map sym [ "A"; "B" ] and binary = List.map sym [ "P"; "Q" ] in
+  let universe =
+    List.concat_map
+      (fun c ->
+        List.map (fun p -> Abox.Concept_assertion (p, c)) unary
+        @ List.concat_map
+            (fun d -> List.map (fun p -> Abox.Role_assertion (p, c, d)) binary)
+            consts)
+      consts
+  in
+  let sorted l = List.sort compare l in
+  let check_record (a, model, rev) =
+    let inds =
+      Fact_set.fold
+        (fun f acc ->
+          match f with
+          | Abox.Concept_assertion (_, c) -> c :: acc
+          | Abox.Role_assertion (_, c, d) -> c :: d :: acc)
+        model []
+      |> List.sort_uniq compare
+    in
+    (* the model's P-successors ([out]) or P-predecessors of c *)
+    let adjacent p c ~out =
+      Fact_set.fold
+        (fun f acc ->
+          match f with
+          | Abox.Role_assertion (q, x, y) when Symbol.equal p q ->
+            let src, dst = if out then (x, y) else (y, x) in
+            if Symbol.equal src c then dst :: acc else acc
+          | _ -> acc)
+        model []
+      |> sorted
+    in
+    sorted (Abox.to_facts a) = Fact_set.elements model
+    && Abox.individuals a = inds
+    && Abox.num_individuals a = List.length inds
+    && Abox.num_atoms a = Fact_set.cardinal model
+    && Abox.revision a = rev
+    && List.for_all
+         (fun f -> Abox.mem_fact a f = Fact_set.mem f model)
+         universe
+    && List.for_all
+         (fun p ->
+           List.for_all
+             (fun c ->
+               sorted (Abox.successors a p c) = adjacent p c ~out:true
+               && sorted (Abox.predecessors a p c) = adjacent p c ~out:false)
+             consts)
+         binary
+  in
+  QCheck.Test.make ~count:200
+    ~name:"snapshots are isolated: every record reads its own set model"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 97 |] in
+      let pick l = List.nth l (Random.State.int rng (List.length l)) in
+      (* record 0 is the live store; every other one a snapshot, each with
+         its model and expected revision *)
+      let records = ref [| (Abox.create (), Fact_set.empty, 0) |] in
+      let step k =
+        let n = Array.length !records in
+        match Random.State.int rng 10 with
+        | (0 | 1) when n < 8 ->
+          let i = Random.State.int rng n in
+          let a, model, rev = !records.(i) in
+          records := Array.append !records [| (Abox.snapshot a, model, rev) |];
+          Printf.sprintf "snapshot of record %d" i
+        | r ->
+          (* the live store takes most writes; binary facts are self-loops
+             a third of the time *)
+          let i = if r < 6 then 0 else Random.State.int rng n in
+          let a, model, rev = !records.(i) in
+          let c = pick consts in
+          let fact =
+            if Random.State.bool rng then Abox.Concept_assertion (pick unary, c)
+            else
+              let d = if Random.State.int rng 3 = 0 then c else pick consts in
+              Abox.Role_assertion (pick binary, c, d)
+          in
+          let present = Fact_set.mem fact model in
+          let add = Random.State.bool rng in
+          if add then Abox.add_fact a fact
+          else if Abox.remove_fact a fact <> present then
+            QCheck.Test.fail_reportf "step %d: remove reported %b" k
+              (not present);
+          let model =
+            (if add then Fact_set.add else Fact_set.remove) fact model
+          in
+          !records.(i) <- (a, model, if add <> present then rev + 1 else rev);
+          Format.asprintf "%s %a on record %d"
+            (if add then "add" else "remove")
+            Abox.pp_fact fact i
+      in
+      for k = 1 to 40 do
+        let what = step k in
+        Array.iteri
+          (fun j r ->
+            if not (check_record r) then
+              QCheck.Test.fail_reportf
+                "step %d (%s): record %d disagrees with its model" k what j)
+          !records
+      done;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* 7. consistency handling: inconsistent data returns all tuples *)
 
 let inconsistent_all_tuples () =
@@ -337,6 +456,7 @@ let suites =
         QCheck_alcotest.to_alcotest plain_cq_eval;
         QCheck_alcotest.to_alcotest monotone_in_data;
         QCheck_alcotest.to_alcotest planner_differential;
+        QCheck_alcotest.to_alcotest snapshot_isolation;
         Alcotest.test_case "inconsistent data returns all tuples" `Quick
           inconsistent_all_tuples;
       ] );

@@ -123,7 +123,25 @@ let test_abox_codec_rejects_corruption () =
   let bumped = Bytes.of_string blob in
   (* bump the version byte *)
   Bytes.set bumped 4 '\xfe';
-  check "unknown version" true (corrupt (Bytes.to_string bumped))
+  check "unknown version" true (corrupt (Bytes.to_string bumped));
+  (* a dictionary size the blob cannot hold is rejected before it sizes an
+     allocation; the 2^24 case runs first, so a decoder that allocates
+     first fails on its allocation (128 MB) before meeting the larger one *)
+  let lying_dictionary count =
+    let b = Buffer.create 14 in
+    Buffer.add_string b "OBAX\001";
+    Buffer.add_int32_le b (Int32.of_int count);
+    (* one entry of one byte *)
+    Buffer.add_int32_le b 1l;
+    Buffer.add_char b 'x';
+    Buffer.contents b
+  in
+  let before = Gc.allocated_bytes () in
+  check "dictionary size 2^24" true (corrupt (lying_dictionary (1 lsl 24)));
+  check "rejected without a sized allocation" true
+    (Gc.allocated_bytes () -. before < 1e6);
+  check "dictionary size 0x7FFFFFF0" true
+    (corrupt (lying_dictionary 0x7FFFFFF0))
 
 (* ------------------------------------------------------------------ *)
 (* recovery *)
