@@ -99,8 +99,9 @@ let rewrite ?budget ?(max_cqs = 20_000) alg omq =
     | Tw -> Omq.rewrite ?budget Omq.Tw omq
     | Tw_star -> Optimize.inline_single_use (Omq.rewrite ?budget Omq.Tw omq)
   with
-  | Obda_rewriting.Ucq_rewriter.Limit_reached
-  | Obda_rewriting.Presto_like.Limit_reached -> raise (Skipped "limit")
+  | Error.Obda_error (Error.Budget_exhausted { resource = Size; _ }) ->
+    (* the UCQ and Presto size caps: no case budget caps the size *)
+    raise (Skipped "limit")
   | Error.Obda_error (Error.Budget_exhausted _) -> raise (Skipped "timeout")
   | Error.Obda_error (Error.Not_applicable _) -> raise (Skipped "n/a")
 
@@ -228,6 +229,7 @@ let persist_experiment ~name ~duration ~status =
       :: ("experiment", Json.String name)
       :: ("git_rev", Json.String (Lazy.force git_rev))
       :: ("hostname", Json.String (Lazy.force hostname))
+      :: ("nproc", Json.Int (Domain.recommended_domain_count ()))
       :: ("status", Json.String status)
       :: ("duration_s", Json.Float duration)
       :: List.rev !current_metrics)

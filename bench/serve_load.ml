@@ -40,9 +40,28 @@ let connections = 8
 let ops_per_client = 40
 let seed_facts = 10
 
-(* The same mixed workload without the latency instrumentation: the
-   throughput probe for the durability leg. *)
+(* One closed-loop pass of the mixed workload: [clients] threads, one
+   connection each, [ops_per_client] requests apiece.  Every request's
+   latency goes into its client's histogram (merged after the join: the
+   same shape the server uses per connection, so this doubles as a merge
+   correctness check under real contention) and into an exact array, which
+   comes back sorted.  Recording costs a few ns against requests of tens
+   of µs (see [obs-overhead]), so the throughput probe of the durability
+   leg is this same loop. *)
+type pass = {
+  rate : float;  (* requests per second *)
+  latencies : float array;  (* seconds, sorted *)
+  merged : Histogram.t;
+  non_square : int;
+  errors : int;
+}
+
 let run_clients address clients =
+  let latencies = Array.make (clients * ops_per_client) 0. in
+  let hists =
+    Array.init clients (fun ci ->
+        Histogram.create ~scale:1e9 (Printf.sprintf "load.c%d.%d" clients ci))
+  in
   let non_square = Atomic.make 0 in
   let errors = Atomic.make 0 in
   let t0 = Unix.gettimeofday () in
@@ -63,7 +82,12 @@ let run_clients address clients =
           end
         else "ANSWER qsq"
       in
-      match Client.request cl req with
+      let t = Unix.gettimeofday () in
+      let resp = Client.request cl req in
+      let dt = Unix.gettimeofday () -. t in
+      latencies.((ci * ops_per_client) + op) <- dt;
+      Histogram.record hists.(ci) dt;
+      match resp with
       | first :: _ when String.starts_with ~prefix:"OK answers=" first -> (
         match
           int_of_string_opt (String.sub first 11 (String.length first - 11))
@@ -79,14 +103,21 @@ let run_clients address clients =
   let threads = List.init clients (fun ci -> Thread.create client_body ci) in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
-  ( float_of_int (clients * ops_per_client) /. wall,
-    Atomic.get non_square,
-    Atomic.get errors )
+  Array.sort compare latencies;
+  let merged = Histogram.create ~scale:1e9 (Printf.sprintf "load.c%d" clients) in
+  Array.iter (fun h -> Histogram.merge_into ~into:merged h) hists;
+  {
+    rate = float_of_int (clients * ops_per_client) /. wall;
+    latencies;
+    merged;
+    non_square = Atomic.get non_square;
+    errors = Atomic.get errors;
+  }
 
 (* One 8-client throughput measurement on a fresh server, with or without
    a WAL: identical session/server config, one discarded warmup pass, then
-   the measured pass via the uninstrumented probe.  Returns
-   (rate, non_square, errors) accumulated over BOTH passes. *)
+   the measured pass.  Returns (rate, non_square, errors), the last two
+   accumulated over BOTH passes. *)
 let measure_8_clients ~durable =
   let module Wal = Obda_service.Wal in
   let module Serve = Obda_service.Serve in
@@ -122,8 +153,8 @@ let measure_8_clients ~durable =
   | other -> failwith ("PREPARE failed: " ^ String.concat " | " other));
   ignore (Client.request c0 "QUIT");
   Client.close c0;
-  let _, warm_ns, warm_errs = run_clients address 8 in
-  let rate, non_square, errors = run_clients address 8 in
+  let warm = run_clients address 8 in
+  let measured = run_clients address 8 in
   Server.stop server;
   Thread.join server_thread;
   (match wal with
@@ -132,7 +163,9 @@ let measure_8_clients ~durable =
     Wal.close wal
   | None -> ());
   Session.close session;
-  (rate, non_square + warm_ns, errors + warm_errs)
+  ( measured.rate,
+    measured.non_square + warm.non_square,
+    measured.errors + warm.errors )
 
 (* Durability leg: the 8-client level against a session whose mutations go
    through a WAL with --durability=interval:100.  ANSWERs dominate the mix
@@ -141,12 +174,10 @@ let measure_8_clients ~durable =
    1.5x of the in-memory baseline.
 
    Honest pairing: the baseline is re-measured here, back-to-back with the
-   durable leg, using the same uninstrumented probe and the same warmed
-   config.  (An earlier revision reused the instrumented latency loop's
-   8-client rate as the baseline — two clock reads and a histogram record
-   per request — which made the durable leg look faster than in-memory,
-   slowdown 0.84x.  A slowdown below 0.9x now fails the bench as a pairing
-   bias.) *)
+   durable leg, through the same loop and the same warmed config.  (An
+   earlier revision took the baseline from a different pass, which made
+   the durable leg look faster than in-memory, slowdown 0.84x.  A slowdown
+   below 0.9x fails the bench as a pairing bias.) *)
 let durable_leg () =
   let mem_rate, mem_ns, mem_errs = measure_8_clients ~durable:false in
   let dur_rate, dur_ns, dur_errs = measure_8_clients ~durable:true in
@@ -206,75 +237,20 @@ let run () =
   let widths = [ 9; 7; 9; 10; 10; 10; 9; 7 ] in
   print_row widths
     [ "clients"; "reqs"; "req/s"; "p50(ms)"; "p95(ms)"; "p99(ms)"; "squares"; "errs" ];
-  let all_square = ref true in
-  let all_agree = ref true in
   let prev_recording = Histogram.recording () in
   Histogram.set_enabled true;
+  let all_square = ref true in
+  let all_agree = ref true in
   List.iter
     (fun clients ->
-      let latencies = Array.make (clients * ops_per_client) 0. in
-      (* one histogram per client thread, merged after the join: the same
-         shape the server uses per connection, so this doubles as a merge
-         correctness check under real contention *)
-      let hists =
-        Array.init clients (fun ci ->
-            Histogram.create ~scale:1e9
-              (Printf.sprintf "load.c%d.%d" clients ci))
-      in
-      let non_square = Atomic.make 0 in
-      let errors = Atomic.make 0 in
-      let t0 = Unix.gettimeofday () in
-      let client_body ci =
-        let cl = Client.connect address in
-        let fact = Printf.sprintf "A(w%d_%d)" clients ci in
-        let present = ref false in
-        for op = 0 to ops_per_client - 1 do
-          let req =
-            if ci mod 4 = 0 && op mod 2 = 1 then
-              if !present then begin
-                present := false;
-                "RETRACT " ^ fact
-              end
-              else begin
-                present := true;
-                "ASSERT " ^ fact
-              end
-            else "ANSWER qsq"
-          in
-          let t = Unix.gettimeofday () in
-          let resp = Client.request cl req in
-          let dt = Unix.gettimeofday () -. t in
-          latencies.((ci * ops_per_client) + op) <- dt;
-          Histogram.record hists.(ci) dt;
-          match resp with
-          | first :: _ when String.starts_with ~prefix:"OK answers=" first -> (
-            match int_of_string_opt (String.sub first 11 (String.length first - 11)) with
-            | Some n when is_square n -> ()
-            | _ -> Atomic.incr non_square)
-          | first :: _ when String.starts_with ~prefix:"OK" first -> ()
-          | _ -> Atomic.incr errors
-        done;
-        ignore (Client.request cl "QUIT");
-        Client.close cl
-      in
-      let threads =
-        List.init clients (fun ci -> Thread.create client_body ci)
-      in
-      List.iter Thread.join threads;
-      let wall = Unix.gettimeofday () -. t0 in
-      let reqs = clients * ops_per_client in
-      Array.sort compare latencies;
-      let merged =
-        Histogram.create ~scale:1e9 (Printf.sprintf "load.c%d" clients)
-      in
-      Array.iter (fun h -> Histogram.merge_into ~into:merged h) hists;
-      let snap = Histogram.snapshot merged in
+      let p = run_clients address clients in
+      let snap = Histogram.snapshot p.merged in
       (* histogram quantile (bucket upper bound) vs the exact order
          statistic at the same rank: the exact value must lie inside the
          quantile's bucket, i.e. in (hq/ratio, hq] *)
       let quantile_ms q =
         let hq = Histogram.quantile snap q in
-        let exact = percentile latencies q in
+        let exact = percentile p.latencies q in
         if not (exact <= hq *. 1.000001 && exact > hq /. Histogram.ratio *. 0.999999)
         then begin
           all_agree := false;
@@ -287,36 +263,36 @@ let run () =
       let p50 = quantile_ms 0.50
       and p95 = quantile_ms 0.95
       and p99 = quantile_ms 0.99 in
-      let rate = float_of_int reqs /. wall in
-      let squares_ok = Atomic.get non_square = 0 in
+      let squares_ok = p.non_square = 0 in
       if not squares_ok then all_square := false;
       let tag fmt = Printf.sprintf "c%d.%s" clients fmt in
-      record_float (tag "req_s") rate;
+      record_float (tag "req_s") p.rate;
       record_float (tag "p50_ms") p50;
       record_float (tag "p95_ms") p95;
       record_float (tag "p99_ms") p99;
-      record_float (tag "exact_p50_ms") (percentile latencies 0.50 *. 1000.);
-      record_float (tag "exact_p95_ms") (percentile latencies 0.95 *. 1000.);
-      record_float (tag "exact_p99_ms") (percentile latencies 0.99 *. 1000.);
-      record_int (tag "non_square") (Atomic.get non_square);
-      record_int (tag "errors") (Atomic.get errors);
+      record_float (tag "exact_p50_ms") (percentile p.latencies 0.50 *. 1000.);
+      record_float (tag "exact_p95_ms") (percentile p.latencies 0.95 *. 1000.);
+      record_float (tag "exact_p99_ms") (percentile p.latencies 0.99 *. 1000.);
+      record_int (tag "non_square") p.non_square;
+      record_int (tag "errors") p.errors;
       print_row widths
         [
           string_of_int clients;
-          string_of_int reqs;
-          Printf.sprintf "%.0f" rate;
+          string_of_int (Array.length p.latencies);
+          Printf.sprintf "%.0f" p.rate;
           Printf.sprintf "%.2f" p50;
           Printf.sprintf "%.2f" p95;
           Printf.sprintf "%.2f" p99;
           (if squares_ok then "yes" else "NO");
-          string_of_int (Atomic.get errors);
+          string_of_int p.errors;
         ])
     [ 1; 8; 64 ];
-  Histogram.set_enabled prev_recording;
   Server.stop server;
   Thread.join server_thread;
   Session.close session;
-  durable_leg ();
+  Fun.protect
+    ~finally:(fun () -> Histogram.set_enabled prev_recording)
+    durable_leg;
   Printf.printf
     "(squares=yes on every level: no ANSWER ever saw a torn revision; \
      quantiles from merged per-client histograms, checked against exact \

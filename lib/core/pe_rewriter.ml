@@ -1,74 +1,28 @@
-open Obda_syntax
 open Obda_ontology
 open Obda_cq
 open Obda_data
+module Pe = Obda_reductions.Pe
 module Obs = Obda_obs.Obs
 
-exception Limit_reached
-
-type formula =
-  | Atom of Cq.atom
-  | Equal of Cq.var * Cq.var
-  | And of formula list
-  | Or of formula list
-
-let rec size = function
-  | Atom _ | Equal _ -> 1
-  | And fs | Or fs -> List.fold_left (fun acc f -> acc + size f) 1 fs
-
-let rec pp ppf = function
-  | Atom a -> Cq.pp_atom ppf a
-  | Equal (y, z) -> Format.fprintf ppf "%s = %s" y z
-  | And fs ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " & ")
-         pp)
-      fs
-  | Or fs ->
-    Format.fprintf ppf "(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
-         pp)
-      fs
-
 let rec matrix_depth = function
-  | Atom _ | Equal _ -> 0
-  | And fs | Or fs ->
+  | Pe.Atom1 _ | Pe.Atom2 _ | Pe.Eqt _ -> 0
+  | Pe.And fs | Pe.Or fs ->
     1 + List.fold_left (fun acc f -> max acc (matrix_depth f)) 0 fs
+  | Pe.Exists (_, f) -> matrix_depth f
 
 (* ------------------------------------------------------------------ *)
 (* Construction: ⋁ over independent tree-witness sets *)
 
-let disjoint_atoms t1 t2 =
-  not
-    (List.exists (fun a -> List.exists (fun b -> Cq.compare_atom a b = 0) t2) t1)
-
-let independent_subsets ~limit witnesses =
-  let count = ref 0 in
-  let rec go chosen = function
-    | [] ->
-      incr count;
-      if !count > limit then raise Limit_reached;
-      [ chosen ]
-    | (t : Tree_witness.t) :: rest ->
-      let without = go chosen rest in
-      if
-        List.for_all
-          (fun t' -> disjoint_atoms t.atoms t'.Tree_witness.atoms)
-          chosen
-      then go (t :: chosen) rest @ without
-      else without
-  in
-  go [] witnesses
+let atom = function
+  | Cq.Unary (a, z) -> Pe.Atom1 (a, Pe.Var z)
+  | Cq.Binary (p, y, z) -> Pe.Atom2 (p, Pe.Var y, Pe.Var z)
 
 let tw_formula tbox (t : Tree_witness.t) =
-  let z0 = List.hd t.roots in
-  let eqs = List.map (fun z -> Equal (z, z0)) (List.tl t.roots) in
-  Or
+  let z0 = Pe.Var (List.hd t.roots) in
+  let eqs = List.map (fun z -> Pe.Eqt (Pe.Var z, z0)) (List.tl t.roots) in
+  Pe.Or
     (List.map
-       (fun rho ->
-         And (Atom (Cq.Unary (Tbox.exists_name tbox rho, z0)) :: eqs))
+       (fun rho -> Pe.And (Pe.Atom1 (Tbox.exists_name tbox rho, z0) :: eqs))
        t.generators)
 
 let rewrite ?(max_subsets = 100_000) tbox q =
@@ -77,7 +31,9 @@ let rewrite ?(max_subsets = 100_000) tbox q =
         Tree_witness.enumerate tbox q
         |> List.filter (fun (t : Tree_witness.t) -> t.roots <> [])
       in
-      let subsets = independent_subsets ~limit:max_subsets witnesses in
+      let subsets =
+        Presto_like.independent_subsets ~limit:max_subsets witnesses
+      in
       let disjuncts =
         List.map
           (fun subset ->
@@ -90,94 +46,15 @@ let rewrite ?(max_subsets = 100_000) tbox q =
                   not (List.exists (fun b -> Cq.compare_atom a b = 0) covered))
                 (Cq.atoms q)
             in
-            And
-              (List.map (fun a -> Atom a) rest
-              @ List.map (tw_formula tbox) subset))
+            Pe.And (List.map atom rest @ List.map (tw_formula tbox) subset))
           subsets
       in
-      let formula = Or disjuncts in
+      let formula = Pe.Or disjuncts in
       if Obs.enabled () then begin
-        Obs.set_int "pe.size" (size formula);
+        Obs.set_int "pe.size" (Pe.size formula);
         Obs.set_int "pe.depth" (matrix_depth formula)
       end;
       formula)
 
-(* ------------------------------------------------------------------ *)
-(* Evaluation over completed instances (for testing) *)
-
-type env = (Cq.var * Abox.const) list
-
-let rec sat abox (env : env) formula : env Seq.t =
-  match formula with
-  | Atom (Cq.Unary (a, z)) -> (
-    match List.assoc_opt z env with
-    | Some c -> if Abox.mem_unary abox a c then Seq.return env else Seq.empty
-    | None ->
-      List.to_seq (Abox.unary_members abox a) |> Seq.map (fun c -> (z, c) :: env))
-  | Atom (Cq.Binary (p, y, z)) -> (
-    match (List.assoc_opt y env, List.assoc_opt z env) with
-    | Some c, Some d ->
-      if Abox.mem_binary abox p c d then Seq.return env else Seq.empty
-    | Some c, None ->
-      List.to_seq (Abox.successors abox p c)
-      |> Seq.filter_map (fun d ->
-             if y = z then if c = d then Some env else None
-             else Some ((z, d) :: env))
-    | None, Some d ->
-      List.to_seq (Abox.predecessors abox p d) |> Seq.map (fun c -> (y, c) :: env)
-    | None, None ->
-      List.to_seq (Abox.binary_members abox p)
-      |> Seq.filter_map (fun (c, d) ->
-             if y = z then if c = d then Some ((y, c) :: env) else None
-             else Some ((y, c) :: (z, d) :: env)))
-  | Equal (y, z) -> (
-    match (List.assoc_opt y env, List.assoc_opt z env) with
-    | Some c, Some d -> if c = d then Seq.return env else Seq.empty
-    | Some c, None -> Seq.return ((z, c) :: env)
-    | None, Some d -> Seq.return ((y, d) :: env)
-    | None, None ->
-      List.to_seq (Abox.individuals abox)
-      |> Seq.map (fun c -> (y, c) :: (z, c) :: env))
-  | And [] -> Seq.return env
-  | And fs ->
-    (* prefer conjuncts with bound variables *)
-    let bound_score f =
-      match f with
-      | Atom a ->
-        List.length
-          (List.filter (fun v -> List.mem_assoc v env) (Cq.atom_vars a))
-      | Equal (y, z) ->
-        List.length (List.filter (fun v -> List.mem_assoc v env) [ y; z ])
-      | And _ | Or _ -> 0
-    in
-    let best =
-      List.fold_left
-        (fun acc f ->
-          match acc with
-          | None -> Some f
-          | Some g -> if bound_score f > bound_score g then Some f else acc)
-        None fs
-    in
-    let f = match best with Some f -> f | None -> assert false in
-    let rest = List.filter (fun g -> g != f) fs in
-    Seq.concat_map (fun env' -> sat abox env' (And rest)) (sat abox env f)
-  | Or fs -> Seq.concat_map (fun f -> sat abox env f) (List.to_seq fs)
-
 let certain_answers tbox q formula abox =
-  let completed = Abox.complete tbox abox in
-  let inds = Abox.individuals completed in
-  let answer = Cq.answer_vars q in
-  let tuples = Hashtbl.create 16 in
-  Seq.iter
-    (fun env ->
-      let rec expand acc = function
-        | [] -> Hashtbl.replace tuples (List.rev acc) ()
-        | v :: rest -> (
-          match List.assoc_opt v env with
-          | Some c -> expand (c :: acc) rest
-          | None -> List.iter (fun c -> expand (c :: acc) rest) inds)
-      in
-      expand [] answer)
-    (sat completed [] formula);
-  Hashtbl.fold (fun t () acc -> t :: acc) tuples []
-  |> List.sort (List.compare Symbol.compare)
+  Pe.all_bindings (Abox.complete tbox abox) ~vars:(Cq.answer_vars q) formula

@@ -8,28 +8,20 @@
 
 open Obda_ontology
 open Obda_cq
+module Pe = Obda_reductions.Pe
 
-exception Limit_reached
-
-type formula =
-  | Atom of Cq.atom
-  | Equal of Cq.var * Cq.var
-  | And of formula list
-  | Or of formula list
-
-val size : formula -> int
-(** Number of symbols (atoms + connectives), the |q′| of Section 2. *)
-
-val pp : Format.formatter -> formula -> unit
-
-val rewrite : ?max_subsets:int -> Tbox.t -> Cq.t -> formula
+val rewrite : ?max_subsets:int -> Tbox.t -> Cq.t -> Pe.t
 (** The PE-rewriting over complete data instances; the answer variables are
-    free, every other variable is implicitly existentially quantified. *)
+    free, every other variable is implicitly existentially quantified (the
+    formula has no [Exists] node, so {!Pe.size} is the |q′| of Section 2).
+    Raises [Obda_runtime.Error.Obda_error (Budget_exhausted _)] with
+    resource [Size] beyond [max_subsets] independent sets (default
+    100_000). *)
 
-val matrix_depth : formula -> int
+val matrix_depth : Pe.t -> int
 (** Alternation depth of the ∧/∨ matrix (the k of Π_k-rewritings). *)
 
 val certain_answers :
-  Tbox.t -> Cq.t -> formula -> Obda_data.Abox.t -> Obda_syntax.Symbol.t list list
-(** Evaluate the PE-rewriting over the completion of the given instance
-    (for testing: agrees with the NDL rewritings). *)
+  Tbox.t -> Cq.t -> Pe.t -> Obda_data.Abox.t -> Obda_syntax.Symbol.t list list
+(** Evaluate the PE-rewriting over the completion of the given instance with
+    {!Pe.all_bindings} (for testing: agrees with the NDL rewritings). *)

@@ -4,10 +4,9 @@ open Obda_cq
 open Obda_chase
 module Ndl = Obda_ndl.Ndl
 module Budget = Obda_runtime.Budget
+module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
 module Obs = Obda_obs.Obs
-
-exception Limit_reached
 
 let disjoint_atoms t1 t2 =
   not
@@ -15,14 +14,16 @@ let disjoint_atoms t1 t2 =
        (fun a -> List.exists (fun b -> Cq.compare_atom a b = 0) t2)
        t1)
 
-(* all subsets of pairwise atom-disjoint witnesses *)
-let independent_subsets ~budget ~limit witnesses =
+let independent_subsets ?(budget = Budget.none) ~limit witnesses =
   let count = ref 0 in
   let rec go chosen = function
     | [] ->
       incr count;
       Budget.step budget;
-      if !count > limit then raise Limit_reached;
+      if !count > limit then
+        raise
+          (Error.Obda_error
+             (Error.Budget_exhausted { resource = Size; spent = !count; limit }));
       [ chosen ]
     | (t : Tree_witness.t) :: rest ->
       let without = go chosen rest in

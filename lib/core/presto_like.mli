@@ -10,7 +10,14 @@
 open Obda_ontology
 open Obda_cq
 
-exception Limit_reached
+val independent_subsets :
+  ?budget:Obda_runtime.Budget.t ->
+  limit:int ->
+  Tree_witness.t list ->
+  Tree_witness.t list list
+(** Every set of pairwise atom-disjoint tree witnesses.  Raises
+    [Obda_runtime.Error.Obda_error (Budget_exhausted _)] with resource
+    [Size] past [limit] sets. *)
 
 val rewrite :
   ?budget:Obda_runtime.Budget.t ->
@@ -18,7 +25,7 @@ val rewrite :
   Tbox.t ->
   Cq.t ->
   Obda_ndl.Ndl.query
-(** Raises [Limit_reached] when more than [max_subsets] independent
-    tree-witness sets would be generated (default 100_000), and
-    [Obda_runtime.Error.Obda_error (Budget_exhausted _)] when the given
-    budget is spent first. *)
+(** Raises [Obda_runtime.Error.Obda_error (Budget_exhausted _)] with
+    resource [Size] when more than [max_subsets] independent tree-witness
+    sets would be generated (default 100_000), and when the given budget
+    is spent first. *)

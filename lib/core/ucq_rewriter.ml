@@ -3,10 +3,9 @@ open Obda_ontology
 open Obda_cq
 module Ndl = Obda_ndl.Ndl
 module Budget = Obda_runtime.Budget
+module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
 module Obs = Obda_obs.Obs
-
-exception Limit_reached
 
 (* Working representation: the head argument list (answer variables, with
    possible repetitions after distinguished-variable unification) and the
@@ -161,7 +160,11 @@ let rewrite_wcqs ?(budget = Budget.none) ?(max_cqs = 100_000) tbox q =
   let push w =
     let w = canonicalize w in
     if w.atoms <> [] && not (Hashtbl.mem seen w) then begin
-      if Hashtbl.length seen >= max_cqs then raise Limit_reached;
+      if Hashtbl.length seen >= max_cqs then
+        raise
+          (Error.Obda_error
+             (Error.Budget_exhausted
+                { resource = Size; spent = max_cqs + 1; limit = max_cqs }));
       Budget.grow ~by:(List.length w.atoms) budget;
       Hashtbl.add seen w ();
       out := w :: !out;

@@ -11,15 +11,14 @@
 open Obda_ontology
 open Obda_cq
 
-exception Limit_reached
-
 val rewrite_cqs :
   ?budget:Obda_runtime.Budget.t -> ?max_cqs:int -> Tbox.t -> Cq.t -> Cq.t list
 (** The CQs of the UCQ-rewriting (the input CQ included) that have distinct
     answer variables; CQs where reduce unified two distinguished variables
     (they repeat a head variable) are only representable in the NDL form and
-    are omitted here.  Raises [Limit_reached] beyond [max_cqs]
-    (default 100_000). *)
+    are omitted here.  Raises [Obda_runtime.Error.Obda_error
+    (Budget_exhausted _)] with resource [Size] beyond [max_cqs] (default
+    100_000). *)
 
 val rewrite :
   ?budget:Obda_runtime.Budget.t ->

@@ -12,21 +12,16 @@ let pp_fact ppf = function
   | Role_assertion (p, c, d) ->
     Format.fprintf ppf "%a(%a,%a)" Symbol.pp p Symbol.pp c Symbol.pp d
 
-(* Per-predicate storage.  Unary: set of constants.  Binary: set of pairs
-   plus forward and backward adjacency.  Each relation is stamped with the
+(* Per-predicate storage: one flat relation per predicate and arity, in
+   [unary] or [binary]; a binary relation maintains its [0] and [1]
+   indexes, the adjacency in both directions.  A predicate maps to a
+   relation only while it holds facts.  Each relation is stamped with the
    epoch of the one record that may write it in place. *)
-type unary_rel = { uepoch : int; members : unit Symbol.Tbl.t }
-
-type binary_rel = {
-  bepoch : int;
-  pairs : (const * const, unit) Hashtbl.t;
-  fwd : const list Symbol.Tbl.t;
-  bwd : const list Symbol.Tbl.t;
-}
+type stamped = { sepoch : int; rel : Relation.t }
 
 type t = {
-  mutable unary : unary_rel Symbol.Tbl.t;
-  mutable binary : binary_rel Symbol.Tbl.t;
+  mutable unary : stamped Symbol.Tbl.t;
+  mutable binary : stamped Symbol.Tbl.t;
   mutable epoch : int;
       (* copy-on-write: this record writes in place only the predicate
          tables and relations stamped with its epoch, and [snapshot] gives
@@ -70,15 +65,21 @@ let snapshot a =
   a.epoch <- fresh_epoch ();
   { a with epoch = fresh_epoch (); occurrences = None }
 
-let mem_unary a p c =
-  match Symbol.Tbl.find_opt a.unary p with
-  | Some rel -> Symbol.Tbl.mem rel.members c
+let table a arity = if arity = 1 then a.unary else a.binary
+
+let relation a p ~arity =
+  if arity < 1 || arity > 2 then None
+  else Option.map (fun s -> s.rel) (Symbol.Tbl.find_opt (table a arity) p)
+
+let sym = Symbol.unsafe_of_int
+
+let mem a p row =
+  match relation a p ~arity:(Array.length row) with
+  | Some r -> Relation.find r row 0 >= 0
   | None -> false
 
-let mem_binary a p c d =
-  match Symbol.Tbl.find_opt a.binary p with
-  | Some rel -> Hashtbl.mem rel.pairs (c, d)
-  | None -> false
+let mem_unary a p (c : const) = mem a p [| (c :> int) |]
+let mem_binary a p (c : const) (d : const) = mem a p [| (c :> int); (d :> int) |]
 
 let mem_role a (r : Role.t) c d =
   if Role.is_inverse r then mem_binary a r.Role.base d c
@@ -111,135 +112,92 @@ let own_tables a =
   | Some _ -> ()
   | None ->
     let occ = Symbol.Tbl.create (max 64 a.num_inds) in
-    let count c = ignore (bump occ c) in
-    Symbol.Tbl.iter
-      (fun _ rel -> Symbol.Tbl.iter (fun c () -> count c) rel.members)
-      a.unary;
-    Symbol.Tbl.iter
-      (fun _ rel ->
-        Hashtbl.iter
-          (fun (c, d) () ->
-            count c;
-            count d)
-          rel.pairs)
-      a.binary;
+    let count _ { rel = r; _ } =
+      for k = 0 to (r.size * r.arity) - 1 do
+        ignore (bump occ (sym r.data.(k)))
+      done
+    in
+    Symbol.Tbl.iter count a.unary;
+    Symbol.Tbl.iter count a.binary;
     a.occurrences <- Some occ
 
-(* [p]'s relation, writable in place: copied first unless [a] owns it. *)
-let own_unary a p =
-  own_tables a;
-  match Symbol.Tbl.find_opt a.unary p with
-  | Some rel when rel.uepoch = a.epoch -> rel.members
-  | found ->
-    let members =
-      match found with
-      | Some rel -> Symbol.Tbl.copy rel.members
-      | None -> Symbol.Tbl.create 64
-    in
-    Symbol.Tbl.replace a.unary p { uepoch = a.epoch; members };
-    members
+(* A binary relation maintains the adjacency indexes from its creation. *)
+let fresh_relation arity =
+  let r = Relation.create arity in
+  if arity = 2 then begin
+    ignore (Relation.index r [| 0 |]);
+    ignore (Relation.index r [| 1 |])
+  end;
+  r
 
-let own_binary a p =
+(* [p]'s relation, writable in place: copied first unless [a] owns it. *)
+let own a p arity =
   own_tables a;
-  match Symbol.Tbl.find_opt a.binary p with
-  | Some rel when rel.bepoch = a.epoch -> rel
+  let tbl = table a arity in
+  match Symbol.Tbl.find_opt tbl p with
+  | Some s when s.sepoch = a.epoch -> s.rel
   | found ->
     let rel =
       match found with
-      | Some rel ->
-        {
-          bepoch = a.epoch;
-          pairs = Hashtbl.copy rel.pairs;
-          fwd = Symbol.Tbl.copy rel.fwd;
-          bwd = Symbol.Tbl.copy rel.bwd;
-        }
-      | None ->
-        {
-          bepoch = a.epoch;
-          pairs = Hashtbl.create 64;
-          fwd = Symbol.Tbl.create 64;
-          bwd = Symbol.Tbl.create 64;
-        }
+      | Some s -> Relation.copy s.rel
+      | None -> fresh_relation arity
     in
-    Symbol.Tbl.replace a.binary p rel;
+    Symbol.Tbl.replace tbl p { sepoch = a.epoch; rel };
     rel
 
-(* One argument position of an atom gained or lost by [c]; ind(A) changes
-   when its count leaves or reaches zero.  Called after [own_tables]. *)
-let occur a c =
-  if bump (Option.get a.occurrences) c then begin
-    a.inds <- Symbol.Set.add c a.inds;
-    a.num_inds <- a.num_inds + 1
-  end
-
-let vacate a c =
-  let occ = Option.get a.occurrences in
-  let n = Symbol.Tbl.find occ c in
-  decr n;
-  if !n = 0 then begin
-    Symbol.Tbl.remove occ c;
-    a.inds <- Symbol.Set.remove c a.inds;
-    a.num_inds <- a.num_inds - 1
-  end
-
 (* Every mutator tests for effectiveness on the (possibly shared) tables
-   first, so a no-op add or remove copies nothing. *)
+   first, so a no-op add or remove copies nothing.  An argument position of
+   an atom gained or lost changes ind(A) when its count leaves or reaches
+   zero. *)
 
-let add_unary a p c =
-  if not (mem_unary a p c) then begin
-    Symbol.Tbl.add (own_unary a p) c ();
+let add a p row =
+  if not (mem a p row) then begin
+    ignore (Relation.add (own a p (Array.length row)) row 0);
     a.atom_count <- a.atom_count + 1;
     a.revision <- a.revision + 1;
-    occur a c
+    let occ = Option.get a.occurrences in
+    Array.iter
+      (fun c ->
+        if bump occ (sym c) then begin
+          a.inds <- Symbol.Set.add (sym c) a.inds;
+          a.num_inds <- a.num_inds + 1
+        end)
+      row
   end
 
-let add_binary a p c d =
-  if not (mem_binary a p c d) then begin
-    let rel = own_binary a p in
-    Hashtbl.add rel.pairs (c, d) ();
-    let push tbl k v =
-      let cur = Option.value ~default:[] (Symbol.Tbl.find_opt tbl k) in
-      Symbol.Tbl.replace tbl k (v :: cur)
-    in
-    push rel.fwd c d;
-    push rel.bwd d c;
-    a.atom_count <- a.atom_count + 1;
+let remove a p row =
+  mem a p row
+  && begin
+    let r = own a p (Array.length row) in
+    ignore (Relation.remove r row 0);
+    if r.size = 0 then Symbol.Tbl.remove (table a (Array.length row)) p;
+    a.atom_count <- a.atom_count - 1;
     a.revision <- a.revision + 1;
-    occur a c;
-    occur a d
+    let occ = Option.get a.occurrences in
+    Array.iter
+      (fun c ->
+        let n = Symbol.Tbl.find occ (sym c) in
+        decr n;
+        if !n = 0 then begin
+          Symbol.Tbl.remove occ (sym c);
+          a.inds <- Symbol.Set.remove (sym c) a.inds;
+          a.num_inds <- a.num_inds - 1
+        end)
+      row;
+    true
   end
+
+let add_unary a p (c : const) = add a p [| (c :> int) |]
+let add_binary a p (c : const) (d : const) = add a p [| (c :> int); (d :> int) |]
 
 let add_role a (r : Role.t) c d =
   if Role.is_inverse r then add_binary a r.Role.base d c
   else add_binary a r.Role.base c d
 
-let remove_unary a p c =
-  if mem_unary a p c then begin
-    Symbol.Tbl.remove (own_unary a p) c;
-    a.atom_count <- a.atom_count - 1;
-    a.revision <- a.revision + 1;
-    vacate a c;
-    true
-  end
-  else false
+let remove_unary a p (c : const) = remove a p [| (c :> int) |]
 
-let remove_binary a p c d =
-  if mem_binary a p c d then begin
-    let rel = own_binary a p in
-    Hashtbl.remove rel.pairs (c, d);
-    let drop tbl k v =
-      let cur = Option.value ~default:[] (Symbol.Tbl.find_opt tbl k) in
-      Symbol.Tbl.replace tbl k (List.filter (fun x -> not (Symbol.equal x v)) cur)
-    in
-    drop rel.fwd c d;
-    drop rel.bwd d c;
-    a.atom_count <- a.atom_count - 1;
-    a.revision <- a.revision + 1;
-    vacate a c;
-    vacate a d;
-    true
-  end
-  else false
+let remove_binary a p (c : const) (d : const) =
+  remove a p [| (c :> int); (d :> int) |]
 
 let add_fact a = function
   | Concept_assertion (p, c) -> add_unary a p c
@@ -253,32 +211,43 @@ let individuals a = Symbol.Set.elements a.inds
 let num_individuals a = a.num_inds
 let num_atoms a = a.atom_count
 
-let unary_preds a =
-  Symbol.Tbl.fold (fun p _ acc -> p :: acc) a.unary [] |> List.sort Symbol.compare
+let preds tbl =
+  Symbol.Tbl.fold (fun p _ acc -> p :: acc) tbl [] |> List.sort Symbol.compare
 
-let binary_preds a =
-  Symbol.Tbl.fold (fun p _ acc -> p :: acc) a.binary []
-  |> List.sort Symbol.compare
+let unary_preds a = preds a.unary
+let binary_preds a = preds a.binary
 
-let unary_members a p =
-  match Symbol.Tbl.find_opt a.unary p with
-  | Some rel -> Symbol.Tbl.fold (fun c () acc -> c :: acc) rel.members []
-  | None -> []
+(* Fold over the rows of [p]'s relation of [arity], as buffer and offset. *)
+let fold_rows f a p arity init =
+  match relation a p ~arity with
+  | Some r ->
+    let acc = ref init in
+    for id = 0 to r.size - 1 do
+      acc := f r.data (id * arity) !acc
+    done;
+    !acc
+  | None -> init
+
+let unary_members a p = fold_rows (fun d o acc -> sym d.(o) :: acc) a p 1 []
 
 let binary_members a p =
-  match Symbol.Tbl.find_opt a.binary p with
-  | Some rel -> Hashtbl.fold (fun pr () acc -> pr :: acc) rel.pairs []
+  fold_rows (fun d o acc -> (sym d.(o), sym d.(o + 1)) :: acc) a p 2 []
+
+(* The other end of every row whose value at [pos] is [c]: a walk of the
+   maintained index's chain. *)
+let adjacent a p pos c =
+  match relation a p ~arity:2 with
+  | Some r ->
+    let ix = Option.get (Relation.find_index r [| pos |]) in
+    let rec walk id acc =
+      if id < 0 then acc
+      else walk ix.next.(id) (sym r.data.((2 * id) + 1 - pos) :: acc)
+    in
+    walk (Relation.probe ix r [| (c : const :> int) |]) []
   | None -> []
 
-let successors a p c =
-  match Symbol.Tbl.find_opt a.binary p with
-  | Some rel -> Option.value ~default:[] (Symbol.Tbl.find_opt rel.fwd c)
-  | None -> []
-
-let predecessors a p c =
-  match Symbol.Tbl.find_opt a.binary p with
-  | Some rel -> Option.value ~default:[] (Symbol.Tbl.find_opt rel.bwd c)
-  | None -> []
+let successors a p c = adjacent a p 0 c
+let predecessors a p c = adjacent a p 1 c
 
 let role_successors a (r : Role.t) c =
   if Role.is_inverse r then predecessors a r.Role.base c
@@ -287,29 +256,39 @@ let role_successors a (r : Role.t) c =
 let to_facts a =
   let unary =
     Symbol.Tbl.fold
-      (fun p rel acc ->
-        Symbol.Tbl.fold
-          (fun c () acc -> Concept_assertion (p, c) :: acc)
-          rel.members acc)
+      (fun p _ acc ->
+        fold_rows (fun d o acc -> Concept_assertion (p, sym d.(o)) :: acc) a p 1 acc)
       a.unary []
   in
   Symbol.Tbl.fold
-    (fun p rel acc ->
-      Hashtbl.fold
-        (fun (c, d) () acc -> Role_assertion (p, c, d) :: acc)
-        rel.pairs acc)
+    (fun p _ acc ->
+      fold_rows
+        (fun d o acc -> Role_assertion (p, sym d.(o), sym d.(o + 1)) :: acc)
+        a p 2 acc)
     a.binary unary
 
 let of_facts facts =
   let a = create () in
-  List.iter
-    (function
-      | Concept_assertion (p, c) -> add_unary a p c
-      | Role_assertion (p, c, d) -> add_binary a p c d)
-    facts;
+  List.iter (add_fact a) facts;
   a
 
-let copy a = of_facts (to_facts a)
+let copy a =
+  let epoch = fresh_epoch () in
+  let copy_table tbl =
+    let out = Symbol.Tbl.create (Symbol.Tbl.length tbl) in
+    Symbol.Tbl.iter
+      (fun p s -> Symbol.Tbl.add out p { sepoch = epoch; rel = Relation.copy s.rel })
+      tbl;
+    out
+  in
+  {
+    a with
+    unary = copy_table a.unary;
+    binary = copy_table a.binary;
+    epoch;
+    tables_epoch = epoch;
+    occurrences = None;
+  }
 
 let pp ppf a =
   Format.pp_print_list
@@ -337,17 +316,19 @@ let put_u32 buf n =
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
 
 let serialize a =
-  let unary =
+  (* the relations in predicate order, unary first, each with its row ids
+     in value order: the canonical atom stream *)
+  let sections =
     List.map
-      (fun p -> (p, List.sort Symbol.compare (unary_members a p)))
-      (unary_preds a)
+      (fun tbl ->
+        List.map
+          (fun p ->
+            let r = (Symbol.Tbl.find tbl p).rel in
+            (p, r, Relation.sorted_ids r))
+          (preds tbl))
+      [ a.unary; a.binary ]
   in
-  let binary =
-    List.map
-      (fun p -> (p, List.sort compare (binary_members a p)))
-      (binary_preds a)
-  in
-  (* dictionary in first-use order over the sorted atom stream *)
+  (* dictionary in first-use order over the atom stream *)
   let index = Hashtbl.create 64 in
   let dict_rev = ref [] in
   let intern s =
@@ -359,20 +340,19 @@ let serialize a =
       dict_rev := s :: !dict_rev;
       i
   in
+  let iter_args (r : Relation.t) ids f =
+    Array.iter
+      (fun id ->
+        for k = 0 to r.arity - 1 do
+          f (sym r.data.((id * r.arity) + k))
+        done)
+      ids
+  in
   List.iter
-    (fun (p, cs) ->
-      ignore (intern p);
-      List.iter (fun c -> ignore (intern c)) cs)
-    unary;
-  List.iter
-    (fun (p, pairs) ->
-      ignore (intern p);
-      List.iter
-        (fun (c, d) ->
-          ignore (intern c);
-          ignore (intern d))
-        pairs)
-    binary;
+    (List.iter (fun (p, r, ids) ->
+         ignore (intern p);
+         iter_args r ids (fun c -> ignore (intern c))))
+    sections;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   Buffer.add_char buf (Char.chr format_version);
@@ -383,24 +363,16 @@ let serialize a =
       put_u32 buf (String.length name);
       Buffer.add_string buf name)
     (List.rev !dict_rev);
-  put_u32 buf (List.length unary);
   List.iter
-    (fun (p, cs) ->
-      put_u32 buf (intern p);
-      put_u32 buf (List.length cs);
-      List.iter (fun c -> put_u32 buf (intern c)) cs)
-    unary;
-  put_u32 buf (List.length binary);
-  List.iter
-    (fun (p, pairs) ->
-      put_u32 buf (intern p);
-      put_u32 buf (List.length pairs);
+    (fun section ->
+      put_u32 buf (List.length section);
       List.iter
-        (fun (c, d) ->
-          put_u32 buf (intern c);
-          put_u32 buf (intern d))
-        pairs)
-    binary;
+        (fun (p, r, ids) ->
+          put_u32 buf (intern p);
+          put_u32 buf (Array.length ids);
+          iter_args r ids (fun c -> put_u32 buf (intern c)))
+        section)
+    sections;
   Buffer.contents buf
 
 exception Corrupt of string
@@ -453,24 +425,17 @@ let deserialize s =
     dict.(i)
   in
   let a = create () in
-  let n_unary = get_u32 "unary predicate count" in
-  for _ = 1 to n_unary do
-    let p = sym "unary predicate" in
-    let n = get_u32 "unary member count" in
-    for _ = 1 to n do
-      add_unary a p (sym "unary member")
-    done
-  done;
-  let n_binary = get_u32 "binary predicate count" in
-  for _ = 1 to n_binary do
-    let p = sym "binary predicate" in
-    let n = get_u32 "binary member count" in
-    for _ = 1 to n do
-      let c = sym "binary member" in
-      let d = sym "binary member" in
-      add_binary a p c d
-    done
-  done;
+  List.iter
+    (fun (arity, what) ->
+      let count = what ^ " predicate count" and pred = what ^ " predicate" in
+      let members = what ^ " member count" and member = what ^ " member" in
+      for _ = 1 to get_u32 count do
+        let p = sym pred in
+        for _ = 1 to get_u32 members do
+          add a p (Array.init arity (fun _ -> (sym member :> int)))
+        done
+      done)
+    [ (1, "unary"); (2, "binary") ];
   if !pos <> String.length s then
     corrupt "trailing garbage after ABox blob (offset %d of %d)" !pos
       (String.length s);

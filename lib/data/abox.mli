@@ -1,5 +1,9 @@
-(** Data instances (ABoxes): finite sets of unary and binary ground atoms,
-    with indexes for evaluation. *)
+(** Data instances (ABoxes): finite sets of unary and binary ground atoms.
+
+    Each predicate's facts of one arity are one flat {!Relation.t} (a
+    predicate used at two arities has two); a binary relation maintains its
+    [[0]] and [[1]] indexes, the adjacency in both directions.  The
+    datalog engine reads these relations in place. *)
 
 open Obda_syntax
 open Obda_ontology
@@ -16,6 +20,9 @@ type t
 
 val create : unit -> t
 val copy : t -> t
+(** An independent instance with the same facts: a flat copy of every
+    relation. *)
+
 val of_facts : fact list -> t
 val to_facts : t -> fact list
 val add_unary : t -> Symbol.t -> const -> unit
@@ -41,11 +48,12 @@ val revision : t -> int
 
 val snapshot : t -> t
 (** An O(1) copy-on-write snapshot: the result shares the live instance's
-    tables and ind(A) and carries its current {!revision}.  Copy-on-write
-    is per predicate: the first effective mutation of predicate [p] on
-    either side — original or snapshot — copies the predicate map, in
-    O(#predicates), and [p]'s relation, in O(|p|), then writes the copy;
-    later writes to [p] on that side go in place.  ind(A) is persistent
+    relations and ind(A) and carries its current {!revision}.  The
+    relation is the copy-on-write unit: the first effective mutation of
+    predicate [p] on either side — original or snapshot — copies the
+    predicate maps, in O(#predicates), and [p]'s relation, in O(|p|)
+    buffer copies with no rehash, then writes the copy; later writes to [p]
+    on that side go in place.  ind(A) is persistent
     and needs no copy.  The first write to a snapshot also counts the
     occurrences of its individuals once, in O(|A|), since the counts
     belong to the record that maintains them.  So a snapshot is immutable
@@ -59,8 +67,15 @@ val snapshot : t -> t
     serialised externally (the service session holds its lock around
     both); the guarantee is that a snapshot taken under that discipline
     can then be {e read} from any number of domains with no further
-    synchronisation, because the tables it points at are never written
+    synchronisation, because the relations it points at are never written
     again. *)
+
+val relation : t -> Symbol.t -> arity:int -> Relation.t option
+(** The relation holding the predicate's facts of that arity, [None] when
+    it holds none.  For reading only: on a {!snapshot}, from any number of
+    domains.  Readers must not register indexes on it; the binary
+    relations' [[0]] and [[1]] indexes and the row set answer every probe
+    of a unary or binary atom. *)
 
 val mem_unary : t -> Symbol.t -> const -> bool
 val mem_binary : t -> Symbol.t -> const -> const -> bool
@@ -82,9 +97,11 @@ val unary_members : t -> Symbol.t -> const list
 val binary_members : t -> Symbol.t -> (const * const) list
 
 val successors : t -> Symbol.t -> const -> const list
-(** [{b | P(a,b) ∈ A}]. *)
+(** [{b | P(a,b) ∈ A}]: one probe of P's [[0]] index and a walk of its
+    chain, O(1 + |result|), plus the list it builds. *)
 
 val predecessors : t -> Symbol.t -> const -> const list
+(** [{a | P(a,b) ∈ A}], the same way through P's [[1]] index. *)
 
 val role_successors : t -> Role.t -> const -> const list
 (** ρ-successors, resolving inverses. *)

@@ -80,7 +80,7 @@ let materialise rules src =
             | [ c ] -> Abox.add_unary abox p c
             | [ c; d ] -> Abox.add_binary abox p c d
             | _ -> assert false)
-          (Eval.relation_tuples rel))
+          (Obda_data.Relation.tuples rel))
       result.Eval.idb_relations;
     abox
 

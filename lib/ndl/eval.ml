@@ -7,253 +7,6 @@ module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 
 (* ------------------------------------------------------------------ *)
-(* Relations
-
-   A relation keeps its rows back to back in one arity-strided [int]
-   buffer; a row is named by its id, its rank in insertion order, and rows
-   are never moved or removed.  An open-addressed table of row ids (linear
-   probing, load at most 1/2, each slot paired with its row's hash) makes
-   the buffer a set.  An index on a position list is a second such table
-   with one slot per distinct key, holding the newest row with that key;
-   [next] chains each row to the previous row with the same key.  Indexes
-   are maintained on every add, so probing one walks a chain in place.
-   Adds and probes allocate nothing beyond amortised buffer growth. *)
-
-(* Row hashes: an odd-multiplier fold over the values, then a xor-shift
-   finaliser that brings the high bits down to the slot bits.  Symbol ids
-   are small dense ints, so the finaliser matters. *)
-let hash_seed = 0x2545F4914F6CDD1D
-let[@inline] hash_step h v = (h + v) * 0x3f58476d1ce4e5b9
-
-let[@inline] hash_finish h =
-  let h = (h lxor (h lsr 31)) * 0x14d049bb133111eb in
-  (h lxor (h lsr 29)) land max_int
-
-(* The hash of [n] values from [a.(i)]; a key buffer and the row it
-   matches hash alike. *)
-let hash_values a i n =
-  let h = ref hash_seed in
-  for k = i to i + n - 1 do
-    h := hash_step !h a.(k)
-  done;
-  hash_finish !h
-
-let rec values_equal a i b j n =
-  n = 0 || (a.(i) = b.(j) && values_equal a (i + 1) b (j + 1) (n - 1))
-
-(* A row (at offset [i] of [a]) matches a key buffer on [positions]. *)
-let rec matches_key a i positions key k =
-  k = Array.length key
-  || a.(i + positions.(k)) = key.(k) && matches_key a i positions key (k + 1)
-
-(* An open-addressed table: [2 * s] holds the row id at slot [s] (-1 when
-   empty), [2 * s + 1] its hash.  The slot count is a power of two. *)
-let empty_slots n = Array.make (2 * n) (-1)
-let[@inline] slot_mask slots = (Array.length slots lsr 1) - 1
-
-(* Rehash every occupied slot into a table twice the size. *)
-let grow_slots slots =
-  let bigger = empty_slots (Array.length slots) in
-  let mask = slot_mask bigger in
-  for s = 0 to (Array.length slots lsr 1) - 1 do
-    let id = slots.(2 * s) in
-    if id >= 0 then begin
-      let h = slots.((2 * s) + 1) in
-      let t = ref (h land mask) in
-      while bigger.(2 * !t) >= 0 do
-        t := (!t + 1) land mask
-      done;
-      bigger.(2 * !t) <- id;
-      bigger.((2 * !t) + 1) <- h
-    end
-  done;
-  bigger
-
-type index = {
-  positions : int array;
-  mutable heads : int array;  (* key slots: newest row with the key *)
-  mutable next : int array;  (* row id -> older row with its key, or -1 *)
-  mutable keys : int;  (* distinct keys *)
-  key : int array;  (* scratch: the key of the row being inserted *)
-}
-
-type relation = {
-  arity : int;
-  mutable data : int array;  (* row [id] at [id * arity ..] *)
-  mutable size : int;
-  mutable rows : int array;  (* the row set's slots *)
-  mutable indexes : index list;
-  mutable index_builds : int;
-      (* full-scan index constructions — additions maintain existing
-         indexes incrementally, so this stays at one per position list *)
-  mutable sorted_view : Symbol.t list list option;
-      (* memoised [relation_tuples] result, invalidated on mutation *)
-}
-
-let relation_create arity =
-  {
-    arity;
-    data = Array.make (8 * arity) 0;
-    size = 0;
-    rows = empty_slots 16;
-    indexes = [];
-    index_builds = 0;
-    sorted_view = None;
-  }
-
-let relation_arity r = r.arity
-let relation_size r = r.size
-
-(* The slot holding the row equal to [src.(off ..)] (hash [h]), or the
-   empty slot where it belongs. *)
-let rec find_row slots mask data arity src off h s =
-  let id = slots.(2 * s) in
-  if id < 0
-     || slots.((2 * s) + 1) = h && values_equal data (id * arity) src off arity
-  then s
-  else find_row slots mask data arity src off h ((s + 1) land mask)
-
-(* The key slot of the rows matching [key], or the empty slot where the key
-   belongs. *)
-let rec find_key slots mask data arity positions key h s =
-  let id = slots.(2 * s) in
-  if id < 0
-     || slots.((2 * s) + 1) = h && matches_key data (id * arity) positions key 0
-  then s
-  else find_key slots mask data arity positions key h ((s + 1) land mask)
-
-let index_insert ix data arity id =
-  if id >= Array.length ix.next then begin
-    let next = Array.make (max 16 (2 * (id + 1))) (-1) in
-    Array.blit ix.next 0 next 0 (Array.length ix.next);
-    ix.next <- next
-  end;
-  let key = ix.key in
-  for k = 0 to Array.length key - 1 do
-    key.(k) <- data.((id * arity) + ix.positions.(k))
-  done;
-  let h = hash_values key 0 (Array.length key) in
-  let heads = ix.heads in
-  let s =
-    find_key heads (slot_mask heads) data arity ix.positions key h
-      (h land slot_mask heads)
-  in
-  let head = heads.(2 * s) in
-  ix.next.(id) <- head;
-  heads.(2 * s) <- id;
-  heads.((2 * s) + 1) <- h;
-  if head < 0 then begin
-    ix.keys <- ix.keys + 1;
-    if 2 * ix.keys > Array.length heads lsr 1 then
-      ix.heads <- grow_slots heads
-  end
-
-let rec index_all data arity id = function
-  | [] -> ()
-  | ix :: rest ->
-    index_insert ix data arity id;
-    index_all data arity id rest
-
-(* Add the row [src.(off ..)] whose hash is [h]; false if already present. *)
-let add_hashed r src off h =
-  let arity = r.arity and rows = r.rows in
-  let s =
-    find_row rows (slot_mask rows) r.data arity src off h
-      (h land slot_mask rows)
-  in
-  if rows.(2 * s) >= 0 then false
-  else begin
-    let id = r.size in
-    if (id + 1) * arity > Array.length r.data then begin
-      let data = Array.make (2 * Array.length r.data) 0 in
-      Array.blit r.data 0 data 0 (id * arity);
-      r.data <- data
-    end;
-    let data = r.data in
-    for k = 0 to arity - 1 do
-      data.((id * arity) + k) <- src.(off + k)
-    done;
-    rows.(2 * s) <- id;
-    rows.((2 * s) + 1) <- h;
-    r.size <- id + 1;
-    if 2 * r.size > Array.length rows lsr 1 then r.rows <- grow_slots rows;
-    index_all data arity id r.indexes;
-    r.sorted_view <- None;
-    true
-  end
-
-let add_row r src off = add_hashed r src off (hash_values src off r.arity)
-
-(* Add every row of [src] to [dst]; [on_new] sees each row that was new. *)
-let add_all dst src on_new =
-  for id = 0 to src.size - 1 do
-    let off = id * src.arity in
-    let h = hash_values src.data off src.arity in
-    if add_hashed dst src.data off h then on_new src.data off h
-  done
-
-(* An index over the current rows, not registered on the relation: the
-   [Hash] strategy's transient table, and the start of every maintained
-   index. *)
-let index_build r positions =
-  let ix =
-    {
-      positions;
-      heads = empty_slots 16;
-      next = Array.make (max 16 r.size) (-1);
-      keys = 0;
-      key = Array.make (Array.length positions) 0;
-    }
-  in
-  for id = 0 to r.size - 1 do
-    index_insert ix r.data r.arity id
-  done;
-  ix
-
-let find_index r positions =
-  List.find_opt (fun ix -> ix.positions = positions) r.indexes
-
-let relation_index r positions =
-  match find_index r positions with
-  | Some ix -> ix
-  | None ->
-    let ix = index_build r positions in
-    r.indexes <- ix :: r.indexes;
-    r.index_builds <- r.index_builds + 1;
-    ix
-
-(* The newest row whose values at the index's positions are [key], or -1;
-   older rows with the same key follow through [ix.next]. *)
-let index_probe ix r key =
-  let h = hash_values key 0 (Array.length key) and heads = ix.heads in
-  let s =
-    find_key heads (slot_mask heads) r.data r.arity ix.positions key h
-      (h land slot_mask heads)
-  in
-  heads.(2 * s)
-
-let rec compare_rows a i j n =
-  if n = 0 then 0
-  else
-    let c = Int.compare a.(i) a.(j) in
-    if c <> 0 then c else compare_rows a (i + 1) (j + 1) (n - 1)
-
-let decode r id =
-  List.init r.arity (fun k -> Symbol.unsafe_of_int r.data.((id * r.arity) + k))
-
-let relation_tuples r =
-  match r.sorted_view with
-  | Some view -> view
-  | None ->
-    let ids = Array.init r.size Fun.id in
-    Array.stable_sort
-      (fun i j -> compare_rows r.data (i * r.arity) (j * r.arity) r.arity)
-      ids;
-    let view = Array.fold_right (fun id acc -> decode r id :: acc) ids [] in
-    r.sorted_view <- Some view;
-    view
-
-(* ------------------------------------------------------------------ *)
 (* Compiled clauses *)
 
 type cterm = Plan.cterm = CV of int | CC of int
@@ -287,6 +40,7 @@ type pred_step = {
   arity : int;
   strategy : Plan.strategy;
   probe : int array;  (* [Index]/[Hash]: the bound positions, ascending *)
+  whole : bool;  (* every position is probed: a row-set lookup *)
   key : cterm array;  (* the term at each probe position *)
   consts : int array;  (* (position, constant) pairs a row must hold *)
   binds : int array;  (* (position, slot) pairs each row binds *)
@@ -361,6 +115,7 @@ let matcher ~nvars (plan : Plan.t) =
           arity = Array.length ts;
           strategy = s.strategy;
           probe = Array.of_list (List.map fst key);
+          whole = keyed && List.length key = Array.length ts;
           key = Array.of_list (List.map snd key);
           consts = pairs !consts;
           binds = pairs !binds;
@@ -384,11 +139,14 @@ type result = {
   answers : Symbol.t list list;
   generated_tuples : int;
   tuples_read : int;
-  idb_relations : relation Symbol.Map.t;
+  idb_relations : Relation.t Symbol.Map.t;
 }
 
 type env = {
-  relations : relation Symbol.Tbl.t;  (* EDB (from the ABox) and IDB *)
+  relations : Relation.t Symbol.Tbl.t;
+      (* IDB, external EDB, and the ABox's relations read in place: never
+         indexed, memoised or written here, since snapshots are read from
+         many domains at once *)
   abox : Abox.t;
   external_edb : Symbol.t -> int -> Symbol.t list list option;
   domain : int array Lazy.t;
@@ -418,46 +176,36 @@ let rec sorted_mem a c lo hi =
 let get_relation env p ~arity =
   match Symbol.Tbl.find_opt env.relations p with
   | Some r ->
-    if r.arity <> arity then
+    if r.Relation.arity <> arity then
       Error.parse_error ~line:0 "relation %a is used with arities %d and %d"
         Symbol.pp p r.arity arity;
     r
   | None ->
     (* an EDB predicate: the external source first, then the ABox *)
-    let r = relation_create arity in
-    let row = Array.make arity 0 in
-    (match env.external_edb p arity with
-    | Some tuples ->
-      List.iter
-        (fun tuple ->
-          (* a short or long row would be read across its neighbours in
-             the strided buffer *)
-          let n = List.length tuple in
-          if n <> arity then
-            Error.parse_error ~line:0
-              "relation %a has a row of arity %d in the data source but \
-               arity %d in the query"
-              Symbol.pp p n arity;
-          List.iteri (fun k (c : Symbol.t) -> row.(k) <- (c :> int)) tuple;
-          ignore (add_row r row 0))
-        tuples
-    | None -> (
-      match arity with
-      | 1 ->
+    let r =
+      match env.external_edb p arity with
+      | Some tuples ->
+        let r = Relation.create arity and row = Array.make arity 0 in
         List.iter
-          (fun (c : Symbol.t) ->
-            row.(0) <- (c :> int);
-            ignore (add_row r row 0))
-          (Abox.unary_members env.abox p)
-      | 2 ->
-        List.iter
-          (fun ((c : Symbol.t), (d : Symbol.t)) ->
-            row.(0) <- (c :> int);
-            row.(1) <- (d :> int);
-            ignore (add_row r row 0))
-          (Abox.binary_members env.abox p)
-      | 0 -> ()
-      | n -> invalid_arg (Printf.sprintf "Eval: EDB predicate of arity %d" n)));
+          (fun tuple ->
+            (* a short or long row would be read across its neighbours in
+               the strided buffer *)
+            let n = List.length tuple in
+            if n <> arity then
+              Error.parse_error ~line:0
+                "relation %a has a row of arity %d in the data source but \
+                 arity %d in the query"
+                Symbol.pp p n arity;
+            List.iteri (fun k (c : Symbol.t) -> row.(k) <- (c :> int)) tuple;
+            ignore (Relation.add r row 0))
+          tuples;
+        r
+      | None -> (
+        match Abox.relation env.abox p ~arity with
+        | Some r -> r
+        | None when arity <= 2 -> Relation.create arity
+        | None -> invalid_arg (Printf.sprintf "Eval: EDB predicate of arity %d" arity))
+    in
     Symbol.Tbl.replace env.relations p r;
     r
 
@@ -477,7 +225,7 @@ let order_atoms env nvars atoms =
       in
       let size =
         match Symbol.Tbl.find_opt env.relations p with
-        | Some r -> relation_size r
+        | Some r -> r.Relation.size
         | None -> 0 (* EDB not yet materialised; assume large-ish *)
       in
       (bound_count * 1_000_000) - min size 999_999
@@ -510,20 +258,26 @@ let order_atoms env nvars atoms =
   pick [] atoms
 
 (* Planner statistics, read off the evaluator's current state: exact
-   relation sizes, exact distinct-key counts whenever an index on those
-   positions has already been built, the active-domain size otherwise. *)
+   relation sizes, exact distinct-key counts whenever the probe covers the
+   row or an index on those positions is registered (an ABox relation's
+   [0] and [1] always are), the active-domain size otherwise. *)
 let stats_of_env env ~transient =
   {
     Plan.card =
       (fun p ->
         match Symbol.Tbl.find_opt env.relations p with
-        | Some r -> relation_size r
+        | Some r -> r.Relation.size
         | None -> 0);
     distinct =
       (fun p probe ->
         match Symbol.Tbl.find_opt env.relations p with
         | Some r ->
-          Option.map (fun ix -> ix.keys) (find_index r (Array.of_list probe))
+          let probe = Array.of_list probe in
+          if Relation.covers_row r probe then Some r.size
+          else
+            Option.map
+              (fun (ix : Relation.index) -> ix.keys)
+              (Relation.find_index r probe)
         | None -> None);
     transient = (fun p -> Symbol.Set.mem p transient);
     domain = Array.length (Lazy.force env.domain);
@@ -579,9 +333,8 @@ let rec agrees_hold data off binding agrees k =
 (* Placeholders for a step's relation and index until the step is first
    reached: resolving lazily keeps index builds — which the planner's
    statistics see — exactly where the evaluation first probes. *)
-let unresolved = relation_create 0
-let no_index =
-  { positions = [||]; heads = [||]; next = [||]; keys = 0; key = [||] }
+let unresolved = Relation.create 0
+let no_index = Relation.build_index unresolved [||]
 
 (* Evaluate one compiled clause into [target].  [keep], if given, is a
    partition filter consulted only at the clause's first step: for a leading
@@ -611,7 +364,7 @@ let eval_compiled env target ?keep cc =
       assert (v >= 0);
       out.(k) <- v
     done;
-    if add_row target out 0 then begin
+    if Relation.add target out 0 then begin
       Budget.grow env.budget;
       if env.observe then Obs.incr "eval.derived_facts"
     end
@@ -620,8 +373,9 @@ let eval_compiled env target ?keep cc =
     let r = get_relation env p.pred ~arity:p.arity in
     rels.(si) <- r;
     (match p.strategy with
-    | Plan.Index -> indexes.(si) <- relation_index r p.probe
-    | Plan.Hash -> indexes.(si) <- index_build r p.probe
+    | _ when p.whole -> ()
+    | Plan.Index -> indexes.(si) <- Relation.index r p.probe
+    | Plan.Hash -> indexes.(si) <- Relation.build_index r p.probe
     | Plan.Scan -> ());
     r
   in
@@ -635,7 +389,7 @@ let eval_compiled env target ?keep cc =
         match p.strategy with
         | Plan.Scan ->
           (* every row; [visit] tests any bound positions inline *)
-          for row = 0 to r.size - 1 do
+          for row = 0 to r.Relation.size - 1 do
             visit si p r row
           done
         | Plan.Index | Plan.Hash ->
@@ -643,12 +397,17 @@ let eval_compiled env target ?keep cc =
           for k = 0 to Array.length key - 1 do
             key.(k) <- value p.key.(k)
           done;
-          let ix = indexes.(si) in
-          let row = ref (index_probe ix r key) in
-          while !row >= 0 do
-            visit si p r !row;
-            row := ix.next.(!row)
-          done)
+          if p.whole then begin
+            let row = Relation.find r key 0 in
+            if row >= 0 then visit si p r row
+          end
+          else
+            let ix = indexes.(si) in
+            let row = ref (Relation.probe ix r key) in
+            while !row >= 0 do
+              visit si p r !row;
+              row := ix.Relation.next.(!row)
+            done)
       | Eq_test (t1, t2) -> if value t1 = value t2 then go (si + 1)
       | Eq_bind (i, t) ->
         binding.(i) <- value t;
@@ -678,9 +437,9 @@ let eval_compiled env target ?keep cc =
             go (si + 1)
           end
         done
-  and visit si p r row =
+  and visit si p (r : Relation.t) row =
     let data = r.data and off = row * p.arity in
-    if si > 0 || (not partitioned) || accept (hash_values data off p.arity)
+    if si > 0 || (not partitioned) || accept (Relation.hash_values data off p.arity)
     then begin
       env.reads <- env.reads + 1;
       if consts_hold data off p.consts 0 then begin
@@ -711,7 +470,8 @@ let prepare_clause env cc =
     (function
       | Pred p ->
         let r = get_relation env p.pred ~arity:p.arity in
-        if p.strategy = Plan.Index then ignore (relation_index r p.probe)
+        if p.strategy = Plan.Index && not p.whole then
+          ignore (Relation.index r p.probe)
       | Eq_sweep _ | Dom_test _ | Dom_sweep _ -> ignore (Lazy.force env.domain)
       | Eq_test _ | Eq_bind _ -> ())
     cc.steps
@@ -744,7 +504,7 @@ let eval_batch env ?(count_derived = true) pool targets assignments =
     let schemes = Array.map (fun (_, cc) -> scheme_of_plan cc.plan) work in
     let locals =
       Array.init jobs (fun _ ->
-          Array.map (fun (t : relation) -> relation_create t.arity) targets)
+          Array.map (fun (t : Relation.t) -> Relation.create t.arity) targets)
     in
     let slices =
       Array.init jobs (fun _ -> Budget.slice ~parts:jobs env.budget)
@@ -771,12 +531,15 @@ let eval_batch env ?(count_derived = true) pool targets assignments =
     Array.iteri
       (fun w wlocals ->
         Array.iteri
-          (fun ti local -> add_all targets.(ti) local (fun _ _ _ -> incr added))
+          (fun ti local ->
+            Relation.add_all targets.(ti) local (fun _ _ _ -> incr added))
           wlocals;
         if env.observe && Obs.enabled () then
           Obs.count
             (Printf.sprintf "eval.worker%d.derived" w)
-            (Array.fold_left (fun acc l -> acc + relation_size l) 0 wlocals))
+            (Array.fold_left
+               (fun acc (l : Relation.t) -> acc + l.size)
+               0 wlocals))
       locals;
     if env.observe then begin
       if count_derived then Obs.count "eval.derived_facts" !added;
@@ -948,7 +711,7 @@ let round_marker env =
 
 let eval_straight env pool ~naive (st : cstraight) =
   round_marker env;
-  let target = relation_create st.sarity in
+  let target = Relation.create st.sarity in
   (* register first so in-stratum references resolve to the (empty) target *)
   Symbol.Tbl.replace env.relations st.spred target;
   let ccs =
@@ -975,21 +738,23 @@ let eval_fixpoint env pool ~naive (fx : cfixpoint) =
   let fulls =
     Array.map
       (fun (p, arity) ->
-        let r = relation_create arity in
+        let r = Relation.create arity in
         Symbol.Tbl.replace env.relations p r;
         r)
       fx.fpreds
   in
-  let fresh_accs () = Array.map (fun (r : relation) -> relation_create r.arity) fulls in
+  let fresh_accs () =
+    Array.map (fun (r : Relation.t) -> Relation.create r.arity) fulls
+  in
   let merge accs =
     let added = ref 0 in
     let deltas =
       Array.mapi
-        (fun i (acc : relation) ->
-          let delta = relation_create acc.arity in
-          add_all fulls.(i) acc (fun data off h ->
+        (fun i (acc : Relation.t) ->
+          let delta = Relation.create acc.arity in
+          Relation.add_all fulls.(i) acc (fun data off h ->
               incr added;
-              ignore (add_hashed delta data off h));
+              ignore (Relation.add_hashed delta data off h));
           delta)
         accs
     in
@@ -1146,11 +911,11 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
       idb Symbol.Map.empty
   in
   let generated_tuples =
-    Symbol.Map.fold (fun _ r acc -> acc + relation_size r) idb_relations 0
+    Symbol.Map.fold (fun _ (r : Relation.t) acc -> acc + r.size) idb_relations 0
   in
   let answers =
     match Symbol.Map.find_opt q.goal idb_relations with
-    | Some r -> relation_tuples r
+    | Some r -> Relation.tuples r
     | None -> []
   in
   if observe && Obs.enabled () then begin
@@ -1198,55 +963,3 @@ let answers ?pool ?observe ?budget ?plan q abox =
 
 let boolean q abox =
   match (run q abox).answers with [] -> false | _ :: _ -> true
-
-(* Testing hooks: the unit suite pins the relation-internals contract —
-   indexes are built by one full scan per position list and then maintained
-   incrementally, and the sorted tuple view is memoised until the next
-   mutation. *)
-module Internal = struct
-  let relation_create = relation_create
-
-  let check_length what n a =
-    if Array.length a <> n then invalid_arg ("Eval.Internal: " ^ what ^ " length")
-
-  let ids what n l =
-    let a = Array.of_list (List.map (fun (c : Symbol.t) -> (c :> int)) l) in
-    check_length what n a;
-    a
-
-  let relation_add (r : relation) tuple =
-    add_row r (ids "tuple" r.arity tuple) 0
-
-  let add_row (r : relation) row =
-    check_length "row" r.arity row;
-    add_row r row 0
-
-  let relation_lookup r positions key =
-    let key = ids "key" (List.length positions) key in
-    if positions = [] then List.init r.size (decode r)
-    else
-      let ix = relation_index r (Array.of_list positions) in
-      let rec walk row acc =
-        if row < 0 then acc else walk ix.next.(row) (decode r row :: acc)
-      in
-      walk (index_probe ix r key) []
-
-  let prober r positions =
-    if positions = [] then invalid_arg "Eval.Internal.prober: no positions";
-    let ix = relation_index r (Array.of_list positions) in
-    fun key ->
-      check_length "key" (List.length positions) key;
-      let count = ref 0 and row = ref (index_probe ix r key) in
-      while !row >= 0 do
-        incr count;
-        row := ix.next.(!row)
-      done;
-      !count
-
-  let index_builds r = r.index_builds
-
-  let index_positions r =
-    List.map (fun ix -> Array.to_list ix.positions) r.indexes
-
-  let sorted_view_memoised r = r.sorted_view <> None
-end

@@ -15,26 +15,18 @@
     tuples the matcher pulled from storage, the measure the [eval-plan]
     bench gates on.
 
-    {b Storage.}  A relation is one arity-strided [int] buffer of symbol
-    ids, a row per insertion, made a set by an open-addressed table of row
-    ids under an int-mixing hash.  An index on a position list is an
-    open-addressed table of distinct keys, each heading a chain of the rows
-    with that key, maintained on every add.  The matcher compiles each plan
-    step's checks and bindings once, from the plan's static bound set, and
-    reads, probes and adds rows in place, allocating per row only when a
-    buffer grows.  Tuples become [Symbol.t list list] only in
-    {!relation_tuples}. *)
+    {b Storage.}  Every relation is an {!Obda_data.Relation.t}.  The EDB
+    relations are the ABox's own, read in place: the engine never
+    registers an index on them or writes them, so a snapshot can be read
+    from many domains at once.  A probe binding every position is a
+    row-set lookup, which leaves a binary ABox relation's maintained
+    [[0]] and [[1]] indexes to answer every other EDB probe.  The matcher
+    compiles each plan step's checks and bindings once, from the plan's
+    static bound set, and reads, probes and adds rows in place, allocating
+    per row only when a buffer grows. *)
 
 open Obda_syntax
 open Obda_data
-
-type relation
-(** A set of constant tuples of fixed arity (the storage is described in
-    the header). *)
-
-val relation_arity : relation -> int
-val relation_size : relation -> int
-val relation_tuples : relation -> Symbol.t list list
 
 type result = {
   answers : Symbol.t list list;  (** tuples of the goal relation, sorted *)
@@ -42,7 +34,7 @@ type result = {
   tuples_read : int;
       (** tuples delivered from relation storage and domain sweeps;
           identical at every worker count *)
-  idb_relations : relation Symbol.Map.t;
+  idb_relations : Relation.t Symbol.Map.t;
 }
 
 type plan_cache
@@ -129,40 +121,3 @@ val answers :
 
 val boolean : Ndl.query -> Abox.t -> bool
 (** For a 0-ary goal: whether the goal is derivable. *)
-
-(** Testing and benchmarking hooks for the relation storage (see the
-    header).  The evaluator's performance contract, pinned by the unit
-    suite: an index over a position list is built by a full scan exactly
-    once per relation and maintained incrementally by additions —
-    semi-naïve re-rounds must not rebuild it — and {!relation_tuples}
-    memoises its sorted view until the next mutation.  A [Hash] plan step
-    builds the same index per clause evaluation without registering it, so
-    it counts no build.  The hooks raise [Invalid_argument] on a tuple,
-    row or key of the wrong length. *)
-module Internal : sig
-  val relation_create : int -> relation
-  val relation_add : relation -> Symbol.t list -> bool
-  val relation_lookup : relation -> int list -> Symbol.t list -> Symbol.t list list
-  (** The rows whose values at the positions equal the key, through the
-      maintained index on those positions (built on first use); every row
-      when the position list is empty. *)
-
-  val add_row : relation -> int array -> bool
-  (** {!relation_add} on a row of symbol ids of the relation's arity: the
-      evaluator's own add path, with no conversion. *)
-
-  val prober : relation -> int list -> int array -> int
-  (** [prober r positions] resolves the maintained index on a non-empty
-      position list (building it on first use); the function it returns
-      counts the rows matching a key of symbol ids by walking the index in
-      place, as the evaluator's [Index] steps do. *)
-
-  val index_builds : relation -> int
-  (** Number of full-scan index constructions performed on this relation. *)
-
-  val index_positions : relation -> int list list
-  (** The position lists currently indexed, one entry per index. *)
-
-  val sorted_view_memoised : relation -> bool
-  (** Whether a memoised {!relation_tuples} view is currently live. *)
-end

@@ -269,27 +269,32 @@ let query_of_string ?file s =
 (* ------------------------------------------------------------------ *)
 (* Data *)
 
-let data_of_string ?file s =
+let facts_of_string ?file s =
   with_source ?file s @@ fun () ->
   Fault.hit Fault.parse_abox;
-  let a = Abox.create () in
+  let facts = ref [] in
   List.iteri
     (fun i line ->
       let rec consume toks =
-        if toks = [] then ()
-        else begin
+        if toks <> [] then begin
           let atom, rest = parse_atom (i + 1) toks in
-          (match atom with
-          | Punary (p, Var c) -> Abox.add_unary a (Symbol.intern p) (Symbol.intern c)
-          | Pbinary (p, Var c, Var d) ->
-            Abox.add_binary a (Symbol.intern p) (Symbol.intern c) (Symbol.intern d)
-          | _ -> fail (i + 1) "facts must be ground");
+          let fact =
+            match atom with
+            | Punary (p, Var c) ->
+              Abox.Concept_assertion (Symbol.intern p, Symbol.intern c)
+            | Pbinary (p, Var c, Var d) ->
+              Abox.Role_assertion (Symbol.intern p, Symbol.intern c, Symbol.intern d)
+            | _ -> fail (i + 1) "facts must be ground"
+          in
+          facts := fact :: !facts;
           consume rest
         end
       in
       consume (tokenize_line (i + 1) line))
     (lines_of s);
-  a
+  List.rev !facts
+
+let data_of_string ?file s = Abox.of_facts (facts_of_string ?file s)
 
 (* ------------------------------------------------------------------ *)
 (* Mappings and sources *)
@@ -447,7 +452,7 @@ let query_to_string q =
               Printf.sprintf "%s(%s,%s)" (Symbol.name p) y z)
           (Cq.atoms q)))
 
-let data_to_string a =
+let facts_to_string facts =
   String.concat "\n"
     (List.map
        (fun fact ->
@@ -457,5 +462,7 @@ let data_to_string a =
          | Abox.Role_assertion (p, c, d) ->
            Printf.sprintf "%s(%s,%s)." (Symbol.name p) (Symbol.name c)
              (Symbol.name d))
-       (Abox.to_facts a))
+       facts)
   ^ "\n"
+
+let data_to_string a = facts_to_string (Abox.to_facts a)

@@ -35,6 +35,12 @@ open Obda_data
 val ontology_of_string : ?file:string -> string -> Tbox.t
 val query_of_string : ?file:string -> string -> Cq.t
 val data_of_string : ?file:string -> string -> Abox.t
+
+val facts_of_string : ?file:string -> string -> Abox.fact list
+(** The facts of a data file in text order, repeats kept, with no instance
+    built: the write path's parser ([ASSERT]/[RETRACT], WAL replay).
+    [data_of_string] is [Abox.of_facts] over it. *)
+
 val ontology_of_file : string -> Tbox.t
 val query_of_file : string -> Cq.t
 val data_of_file : string -> Abox.t
@@ -56,3 +62,7 @@ val ontology_to_string : Tbox.t -> string
 
 val query_to_string : Cq.t -> string
 val data_to_string : Abox.t -> string
+
+val facts_to_string : Abox.fact list -> string
+(** One fact per line, in list order; round-trips through
+    [facts_of_string].  [data_to_string] is this over [Abox.to_facts]. *)

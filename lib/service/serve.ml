@@ -221,14 +221,14 @@ let exec ?budget session (req : Protocol.request) =
   | Protocol.Assert_facts text ->
     (* parse outside the session lock; apply atomically, so a concurrent
        freeze sees all of this request's facts or none of them *)
-    let facts = Abox.to_facts (Parse.data_of_string text) in
+    let facts = Parse.facts_of_string text in
     (* the post-apply atom count comes from inside the mutation's lock
        scope, so it reports exactly this request's effect even with
        concurrent writers on other connections *)
     let added, atoms = Session.assert_facts session facts in
     [ Printf.sprintf "OK asserted added=%d atoms=%d" added atoms ]
   | Protocol.Retract_facts text ->
-    let facts = Abox.to_facts (Parse.data_of_string text) in
+    let facts = Parse.facts_of_string text in
     let removed, atoms = Session.retract_facts session facts in
     [ Printf.sprintf "OK retracted removed=%d atoms=%d" removed atoms ]
   | Protocol.Stats ->

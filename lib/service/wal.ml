@@ -93,7 +93,7 @@ let op_name = function
   | Load_data _ -> "load-data"
 
 let mutation_body = function
-  | Assert facts | Retract facts -> Parse.data_to_string (Abox.of_facts facts)
+  | Assert facts | Retract facts -> Parse.facts_to_string facts
   | Load_ontology tbox -> Parse.ontology_to_string tbox
   | Load_data abox -> Parse.data_to_string abox
 
@@ -380,11 +380,11 @@ let apply_record state record =
   let tbox, abox, prepared = !state in
   match record.rop with
   | "assert" ->
-    List.iter (Abox.add_fact abox) (Abox.to_facts (Parse.data_of_string record.rbody))
+    List.iter (Abox.add_fact abox) (Parse.facts_of_string record.rbody)
   | "retract" ->
     List.iter
       (fun f -> ignore (Abox.remove_fact abox f))
-      (Abox.to_facts (Parse.data_of_string record.rbody))
+      (Parse.facts_of_string record.rbody)
   | "load-ontology" ->
     (* a reload drops the prepared registry, exactly like the live path *)
     state := (Some (Parse.ontology_of_string record.rbody), abox, [])

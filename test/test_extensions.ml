@@ -45,7 +45,7 @@ let pe_growth () =
   let t = example11_tbox () in
   let size_at n =
     let letters = List.init n (fun i -> String.make 1 "RRSRSRSRRSRRSSR".[i]) in
-    Pe_rewriter.size (Pe_rewriter.rewrite t (word_cq letters))
+    Obda_reductions.Pe.size (Pe_rewriter.rewrite t (word_cq letters))
   in
   let s6 = size_at 6 and s12 = size_at 12 in
   check "superlinear growth" true (s12 > 3 * s6);

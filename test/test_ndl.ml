@@ -5,6 +5,8 @@ module Eval = Obda_ndl.Eval
 module Star = Obda_ndl.Star
 module Skinny = Obda_ndl.Skinny
 module Optimize = Obda_ndl.Optimize
+module Relation = Obda_data.Relation
+module Abox = Obda_data.Abox
 open Helpers
 
 let check = Alcotest.(check bool)
@@ -408,14 +410,13 @@ let test_recursive_fixpoint () =
      full-scan build per position list, maintained incrementally as the
      fixpoint grows the relation *)
   let r = Eval.run tc a in
-  let module I = Eval.Internal in
   let trel = Symbol.Map.find (sym "T") r.Eval.idb_relations in
   check_int "one index build per position list on the full relation"
-    (List.length (I.index_positions trel))
-    (I.index_builds trel);
+    (List.length trel.Relation.indexes)
+    trel.index_builds;
   check "full relation was probed via a maintained index" true
-    (I.index_builds trel >= 1);
-  check "rounds did not rebuild indexes" true (I.index_builds trel <= 2)
+    (trel.index_builds >= 1);
+  check "rounds did not rebuild indexes" true (trel.index_builds <= 2)
 
 let test_mutual_recursion () =
   let q =
@@ -603,61 +604,73 @@ let test_plan_cache_reuse () =
     (show_tuples (Eval.answers example1 big))
     (show_tuples r3.Eval.answers)
 
+(* The relation storage as the engine drives it, on rows of symbol ids. *)
+let ids row = Array.of_list (List.map (fun (c : Symbol.t) -> (c :> int)) row)
+let rel_add r row = Relation.add r (ids row) 0
+
+let rel_lookup r positions key =
+  List.map
+    (fun id -> Array.to_list (Array.sub r.Relation.data (id * r.arity) r.arity))
+    (Relation.lookup r (Array.of_list positions) (ids key))
+
 (* The relation-internals contract behind evaluator rounds: one full-scan
    index build per position list (later additions maintain it in place and
    lookups reuse it), and a sorted tuple view that is memoised until the
    next mutation. *)
 let test_relation_index_reuse () =
-  let module I = Eval.Internal in
   let s = Symbol.intern in
-  let r = I.relation_create 2 in
-  check "first add" true (I.relation_add r [ s "a"; s "b" ]);
-  check "second add" true (I.relation_add r [ s "a"; s "c" ]);
-  check "duplicate add rejected" false (I.relation_add r [ s "a"; s "b" ]);
-  check_int "no index before first lookup" 0 (I.index_builds r);
-  let m1 = I.relation_lookup r [ 0 ] [ s "a" ] in
+  let r = Relation.create 2 in
+  check "first add" true (rel_add r [ s "a"; s "b" ]);
+  check "second add" true (rel_add r [ s "a"; s "c" ]);
+  check "duplicate add rejected" false (rel_add r [ s "a"; s "b" ]);
+  check_int "no index before first lookup" 0 r.index_builds;
+  let m1 = rel_lookup r [ 0 ] [ s "a" ] in
   check_int "lookup matches" 2 (List.length m1);
-  check_int "one full-scan build" 1 (I.index_builds r);
-  ignore (I.relation_lookup r [ 0 ] [ s "a" ]);
-  ignore (I.relation_lookup r [ 0 ] [ s "z" ]);
-  check_int "repeat lookups reuse the index" 1 (I.index_builds r);
+  check_int "one full-scan build" 1 r.index_builds;
+  ignore (rel_lookup r [ 0 ] [ s "a" ]);
+  ignore (rel_lookup r [ 0 ] [ s "z" ]);
+  check_int "repeat lookups reuse the index" 1 r.index_builds;
   (* an addition after the build is visible without a rescan *)
-  check "post-index add" true (I.relation_add r [ s "a"; s "d" ]);
-  check_int "incremental maintenance, no rebuild" 1 (I.index_builds r);
+  check "post-index add" true (rel_add r [ s "a"; s "d" ]);
+  check_int "incremental maintenance, no rebuild" 1 r.index_builds;
   check_int "maintained index sees the new tuple" 3
-    (List.length (I.relation_lookup r [ 0 ] [ s "a" ]));
-  (* a second position list is one more build, not a rebuild of the first *)
-  ignore (I.relation_lookup r [ 1 ] [ s "b" ]);
-  check_int "second position list builds once more" 2 (I.index_builds r)
+    (List.length (rel_lookup r [ 0 ] [ s "a" ]));
+  (* a second position list is one more build, not a rebuild of the first;
+     the whole row is the row set's, and builds nothing *)
+  ignore (rel_lookup r [ 1 ] [ s "b" ]);
+  check_int "second position list builds once more" 2 r.index_builds;
+  check_int "whole-row lookup" 1 (List.length (rel_lookup r [ 0; 1 ] [ s "a"; s "d" ]));
+  check_int "whole-row lookup builds nothing" 2 r.index_builds
 
 let test_relation_sorted_view_memoised () =
-  let module I = Eval.Internal in
   let s = Symbol.intern in
-  let r = I.relation_create 1 in
+  let r = Relation.create 1 in
   let names ts = List.sort compare (List.map (List.map Symbol.name) ts) in
-  ignore (I.relation_add r [ s "v2" ]);
-  ignore (I.relation_add r [ s "v1" ]);
-  check "no view before first read" false (I.sorted_view_memoised r);
-  let v1 = Eval.relation_tuples r in
+  ignore (rel_add r [ s "v2" ]);
+  ignore (rel_add r [ s "v1" ]);
+  check "no view before first read" false (r.sorted_view <> None);
+  let v1 = Relation.tuples r in
   Alcotest.(check (list (list string)))
     "view contents" [ [ "v1" ]; [ "v2" ] ] (names v1);
-  check "view memoised after read" true (I.sorted_view_memoised r);
-  let v2 = Eval.relation_tuples r in
+  check "view memoised after read" true (r.sorted_view <> None);
+  let v2 = Relation.tuples r in
   check "repeat read returns the memoised list" true (v1 == v2);
-  ignore (I.relation_add r [ s "v0" ]);
-  check "mutation invalidates the view" false (I.sorted_view_memoised r);
+  ignore (rel_add r [ s "v0" ]);
+  check "mutation invalidates the view" false (r.sorted_view <> None);
   Alcotest.(check (list (list string)))
     "fresh view after mutation"
     [ [ "v0" ]; [ "v1" ]; [ "v2" ] ]
-    (names (Eval.relation_tuples r))
+    (names (Relation.tuples r))
 
 (* The flat relation storage against a reference set model, per arity
-   0–3: thousands of adds with duplicates (enough for several row-set and
-   index resizes), indexes built both before and after the adds, lookups on
-   every position subset, one build per position list, and a sorted,
-   duplicate-free tuple view.  Arity 0 is the boolean goals' relation. *)
+   0–3: thousands of adds with duplicates and removals of present and
+   absent rows (enough for several row-set and index resizes, and for
+   chains that lose their head, a middle row and their last row), indexes
+   built both before and after the writes, lookups on every position
+   subset, one build per position list short of the whole row (which the
+   row set answers), and a sorted, duplicate-free tuple view.  Arity 0 is
+   the boolean goals' relation. *)
 let test_relation_model () =
-  let module I = Eval.Internal in
   let ints = List.map (fun (c : Symbol.t) -> (c :> int)) in
   List.iter
     (fun arity ->
@@ -670,7 +683,7 @@ let test_relation_model () =
       let random_row () =
         List.init arity (fun _ -> pool.(Random.State.int rng width))
       in
-      let r = I.relation_create arity in
+      let r = Relation.create arity in
       let model = Hashtbl.create 64 in
       let rows () = Hashtbl.fold (fun row () acc -> row :: acc) model [] in
       let subsets =
@@ -696,9 +709,13 @@ let test_relation_model () =
               (Printf.sprintf "arity %d lookup on [%s]" arity
                  (String.concat "," (List.map string_of_int positions)))
               (List.sort compare (List.map ints want))
-              (List.sort compare
-                 (List.map ints (I.relation_lookup r positions key))))
+              (List.sort compare (rel_lookup r positions key)))
           keys
+      in
+      let check_size what =
+        check_int
+          (Printf.sprintf "arity %d size after %s" arity what)
+          (Hashtbl.length model) r.size
       in
       let early, late =
         List.partition (fun s -> List.length s mod 2 = 0) subsets
@@ -711,19 +728,35 @@ let test_relation_model () =
           Hashtbl.replace model row ();
           check
             (Printf.sprintf "arity %d add reports novelty" arity)
-            fresh (I.relation_add r row)
+            fresh (rel_add r row)
         done;
-        check_int
-          (Printf.sprintf "arity %d size after phase %d" arity phase)
-          (Hashtbl.length model) (Eval.relation_size r);
+        check_size (Printf.sprintf "adds of phase %d" phase);
+        List.iter check_lookups early;
+        (* half the removals target stored rows, half random ones *)
+        let stored = Array.of_list (rows ()) in
+        for _ = 1 to 700 do
+          let row =
+            if Random.State.bool rng && Array.length stored > 0 then
+              stored.(Random.State.int rng (Array.length stored))
+            else random_row ()
+          in
+          let present = Hashtbl.mem model row in
+          Hashtbl.remove model row;
+          check
+            (Printf.sprintf "arity %d remove reports presence" arity)
+            present
+            (Relation.remove r (ids row) 0)
+        done;
+        check_size (Printf.sprintf "removals of phase %d" phase);
         List.iter check_lookups early
       done;
       List.iter check_lookups late;
       check_int
         (Printf.sprintf "arity %d: one build per position list" arity)
-        (List.length (List.filter (( <> ) []) subsets))
-        (I.index_builds r);
-      let view = Eval.relation_tuples r in
+        (List.length
+           (List.filter (fun s -> s <> [] && List.length s < arity) subsets))
+        r.index_builds;
+      let view = Relation.tuples r in
       check
         (Printf.sprintf "arity %d view sorted and duplicate-free" arity)
         true
@@ -733,6 +766,83 @@ let test_relation_model () =
         true
         (view = List.sort compare (rows ())))
     [ 0; 1; 2; 3 ]
+
+(* A predicate used at two arities is two relations of the ABox, and each
+   arity's query reads its own; both survive a checkpoint round trip. *)
+let test_predicate_at_two_arities () =
+  let a = abox_of_facts [ `U ("A", "a"); `B ("A", "a", "b") ] in
+  let goal name arity =
+    let args = List.init arity (fun i -> Printf.sprintf "x%d" i) in
+    Ndl.make ~goal:(sym name) ~goal_args:args
+      [ { Ndl.head = (sym name, List.map v args); body = [ p "A" (List.map v args) ] } ]
+  in
+  List.iter
+    (fun abox ->
+      Alcotest.(check (list (list string)))
+        "unary A" [ [ "a" ] ] (show_tuples (Eval.answers (goal "GA1" 1) abox));
+      Alcotest.(check (list (list string)))
+        "binary A" [ [ "a"; "b" ] ] (show_tuples (Eval.answers (goal "GA2" 2) abox)))
+    [ a; Abox.deserialize (Abox.serialize a) ];
+  check_int "two atoms" 2 (Abox.num_atoms a)
+
+(* [Eval.run] reads the ABox's relations in place and must leave them as
+   it found them — no index registered, no view memoised — on every path:
+   planned and naive, sequential and parallel, with probes on one position
+   of a binary relation, on every position, and on a unary relation. *)
+let test_eval_leaves_abox_relations () =
+  let n = 40 in
+  let c i = Printf.sprintf "c%d" (i mod n) in
+  let a =
+    abox_of_facts
+      (List.concat
+         (List.init n (fun i ->
+              [ `B ("R", c i, c (i + 1)); `B ("S", c i, c (i + 3)) ]
+              @ if i mod 2 = 0 then [ `U ("A", c i) ] else [])))
+  in
+  let q =
+    Ndl.make ~goal:(sym "Gpin") ~goal_args:[ "x" ]
+      [
+        {
+          Ndl.head = (sym "Gpin", [ v "x" ]);
+          body =
+            [
+              p "A" [ v "x" ]; p "R" [ v "x"; v "y" ]; p "S" [ v "y"; v "z" ];
+              p "S" [ v "x"; v "w" ]; p "R" [ v "w"; v "z" ]; p "A" [ v "z" ];
+            ];
+        };
+        {
+          Ndl.head = (sym "Gpin", [ v "x" ]);
+          body = [ p "S" [ v "y"; v "x" ]; p "A" [ v "x" ]; p "R" [ v "z"; v "y" ] ];
+        };
+      ]
+  in
+  let state () =
+    List.map
+      (fun (pred, arity) ->
+        let r = Option.get (Abox.relation a (sym pred) ~arity) in
+        ( List.map (fun (ix : Relation.index) -> Array.to_list ix.positions) r.indexes,
+          r.index_builds,
+          r.sorted_view <> None,
+          r.size ))
+      [ ("R", 2); ("S", 2); ("A", 1) ]
+  in
+  let before = state () in
+  let expected = show_tuples (Eval.answers q a) in
+  Alcotest.(check (list (list string)))
+    "naive agrees" expected
+    (show_tuples (Eval.run ~naive:true q a).Eval.answers);
+  Obda_runtime.Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check (list (list string)))
+        "two workers agree" expected
+        (show_tuples (Eval.answers ~pool q a)));
+  check "the query answers" true (expected <> []);
+  check "index lists, build counts, views and sizes untouched" true
+    (before = state ());
+  check "binary relations keep exactly [0] and [1]" true
+    (match before with
+    | (r, 2, _, _) :: (s, 2, _, _) :: _ ->
+      List.sort compare r = [ [ 0 ]; [ 1 ] ] && List.sort compare s = [ [ 0 ]; [ 1 ] ]
+    | _ -> false)
 
 let suites =
   [
@@ -769,6 +879,10 @@ let suites =
           test_unbound_unbound_eq_sweep;
         Alcotest.test_case "relation index reuse" `Quick
           test_relation_index_reuse;
+        Alcotest.test_case "eval leaves the ABox's relations untouched" `Quick
+          test_eval_leaves_abox_relations;
+        Alcotest.test_case "a predicate at two arities" `Quick
+          test_predicate_at_two_arities;
         Alcotest.test_case "relation sorted view memoised" `Quick
           test_relation_sorted_view_memoised;
         Alcotest.test_case "relation storage vs set model" `Quick

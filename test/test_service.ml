@@ -735,6 +735,31 @@ let test_server_end_to_end () =
       Client.close c3;
       ignore server)
 
+(* A rewriter's size cap is a budget error: with one connection slot, the
+   client gets ERR class=budget and the same connection keeps serving. *)
+let test_server_size_cap_keeps_connection () =
+  let onto = Filename.temp_file "obda_test" ".onto" in
+  Out_channel.with_open_text onto (fun oc ->
+      output_string oc "P(x,y) -> S(x,y)\nP(x,y) -> R(y,x)\n");
+  let chain =
+    String.concat ", "
+      (List.init 40 (fun i ->
+           Printf.sprintf "%s(x%d,x%d)" (if i mod 2 = 0 then "S" else "R") i (i + 1)))
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove onto)
+    (fun () ->
+      with_server ~connections:1 (fun address _server ->
+          let c = Client.connect address in
+          check "ontology loaded" true
+            (starts_with "OK ontology" (first (Client.request c ("LOAD ONTOLOGY " ^ onto))));
+          check "the size cap answers ERR class=budget" true
+            (starts_with "ERR class=budget resource=size"
+               (first (Client.request c ("PREPARE p ALG presto q(x0,x40) <- " ^ chain))));
+          check "the same connection answers PING" true
+            (starts_with "OK pong" (first (Client.request c "PING")));
+          Client.close c))
+
 let test_server_overload () =
   (* max_inflight = 0: every real request is shed, in protocol *)
   with_server ~max_inflight:0 (fun address server ->
@@ -980,6 +1005,8 @@ let suites =
           `Quick test_race_readers_vs_writers;
         Alcotest.test_case "server: end to end over a socket" `Quick
           test_server_end_to_end;
+        Alcotest.test_case "server: a size cap keeps the connection" `Quick
+          test_server_size_cap_keeps_connection;
         Alcotest.test_case "server: admission control sheds in protocol"
           `Quick test_server_overload;
         Alcotest.test_case "server: idle timeout" `Quick

@@ -63,7 +63,10 @@ let test_limit () =
     (try
        ignore (Ucq.rewrite_cqs ~max_cqs:50 t q);
        false
-     with Ucq.Limit_reached -> true)
+     with
+     | Obda_runtime.Error.Obda_error
+         (Obda_runtime.Error.Budget_exhausted { resource = Size; _ }) ->
+       true)
 
 let test_condensed_smaller () =
   let t = example11_tbox () in
