@@ -559,8 +559,20 @@ let micro () =
     Obda_ndl.Optimize.inline_single_use
       (Omq.rewrite Omq.Tw (Omq.make tbox (prefix_query sequence1 3)))
   in
+  (* The rewriters at the longest Fig. 2 prefix, over arbitrary instances
+     (the paper-tables cells rewrite each cold) *)
+  let omq15 = Omq.make tbox (prefix_query sequence1 15) in
+  let rewrite15 key name alg =
+    ( key,
+      1,
+      Test.make ~name:(Printf.sprintf "table1:rewrite-%s(seq1,15)" name)
+        (Staged.stage (fun () -> Omq.rewrite alg omq15)) )
+  in
   let layer =
     [
+      rewrite15 "rewrite_tw_seq1_15_ns" "Tw" Omq.Tw;
+      rewrite15 "rewrite_lin_seq1_15_ns" "Lin" Omq.Lin;
+      rewrite15 "rewrite_log_seq1_15_ns" "Log" Omq.Log;
       ( "relation_add_ns",
         n,
         Test.make ~name:"ndl:relation-add(60k binary rows)"

@@ -45,8 +45,9 @@ fi
 # phase 2: a long assert stream; SIGKILL the server while it runs.
 # Every line the client got an "OK asserted" back for was fsynced to the
 # WAL before that OK was sent — those must survive the kill.
+sent=5000
 i=0
-while [ "$i" -lt 5000 ]; do
+while [ "$i" -lt "$sent" ]; do
   i=$((i + 1))
   printf 'ASSERT A(s%d)\n' "$i"
 done | "$OBDA" client --socket "$sock" > "$dir/stream.out" 2> /dev/null &
@@ -92,7 +93,7 @@ while [ "$i" -lt "$acked" ]; do
   fi
 done
 extra=$(grep -c '^s' "$dir/answers.after" || true)
-if [ "$extra" -gt 500 ]; then
+if [ "$extra" -gt "$sent" ]; then
   echo "recovered more stream facts than were ever sent ($extra)" >&2
   exit 1
 fi

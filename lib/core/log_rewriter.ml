@@ -16,16 +16,22 @@ type ctx = {
   tbox : Tbox.t;
   q : Cq.t;
   dec : Tree_decomposition.t;
-  cands : Word_type.word list;
   x : Cq.var list;
   budget : Budget.t;
   (* atom index -> bags covering it *)
   coverage : int list array;
   atoms : Cq.atom array;
+  (* per bag variable: the candidate words it may take (Word_type.locally_ok) *)
+  words : Word_type.word list Cq.Var_map.t;
+  (* per bag: its atoms, and among them the binary P(y,z), y ≠ z, the
+     pairs a bag type must satisfy *)
+  bag_atoms : Cq.atom list array;
+  bag_pairs : (Symbol.t * Cq.var * Cq.var) list array;
   mutable clauses : Ndl.clause list;
   mutable params : int Symbol.Map.t;
+  (* per (subtree id, w): the predicate G_D^w with its arguments *)
   memo :
-    (int list * (Cq.var * Word_type.word) list, (Symbol.t * Cq.var list) option)
+    (int * (Cq.var * Word_type.word) list, (Symbol.t * Cq.var list) option)
     Hashtbl.t;
   mutable counter : int;
 }
@@ -118,37 +124,6 @@ let emit ctx head body =
   in
   ctx.clauses <- { Ndl.head; body = body @ missing } :: ctx.clauses
 
-(* enumerate the types s over the bag of the splitting node, agreeing with
-   the ambient type [w] and compatible with the bag *)
-let bag_types ctx w bag_vars =
-  let free = List.filter (fun v -> not (Cq.Var_map.mem v w)) bag_vars in
-  let per_var =
-    List.map
-      (fun z -> (z, List.filter (Word_type.locally_ok ctx.tbox ctx.q z) ctx.cands))
-      free
-  in
-  let count =
-    List.fold_left (fun acc (_, l) -> acc * max 1 (List.length l)) 1 per_var
-  in
-  if count > type_guard then
-    Error.not_applicable ~algorithm:"Log"
-      "bag type space exceeds %d (ontology too deep for this CQ)" type_guard;
-  let fixed =
-    List.fold_left
-      (fun acc v ->
-        match Cq.Var_map.find_opt v w with
-        | Some word -> Cq.Var_map.add v word acc
-        | None -> acc)
-      Cq.Var_map.empty bag_vars
-  in
-  let rec product acc = function
-    | [] -> [ acc ]
-    | (z, ws) :: rest ->
-      List.concat_map (fun word -> product (Cq.Var_map.add z word acc) rest) ws
-  in
-  product fixed per_var
-  |> List.filter (fun s -> Word_type.compatible_on ctx.tbox ctx.q bag_vars s)
-
 let restrict_type ty vars =
   List.fold_left
     (fun acc v ->
@@ -157,28 +132,88 @@ let restrict_type ty vars =
       | None -> acc)
     Cq.Var_map.empty vars
 
-let memo_key d w =
-  (d, Cq.Var_map.bindings w)
+(* enumerate the types s over the bag [sigma] of the splitting node,
+   agreeing with the ambient type [w] and compatible with the bag, in the
+   order of the product of the free variables' words; each pair atom is
+   tested as soon as both its variables have a word, pruning the product *)
+let bag_types ctx w sigma =
+  let bag_vars = bag ctx sigma in
+  let free = List.filter (fun v -> not (Cq.Var_map.mem v w)) bag_vars in
+  let per_var = List.map (fun z -> (z, Cq.Var_map.find z ctx.words)) free in
+  let count =
+    List.fold_left (fun acc (_, l) -> acc * max 1 (List.length l)) 1 per_var
+  in
+  if count > type_guard then
+    Error.not_applicable ~algorithm:"Log"
+      "bag type space exceeds %d (ontology too deep for this CQ)" type_guard;
+  let fixed = restrict_type w bag_vars in
+  let position v =
+    let rec go i = function
+      | [] -> -1
+      | u :: rest -> if String.equal u v then i else go (i + 1) rest
+    in
+    go 0 free
+  in
+  (* [closes.(i)]: the pairs whose later variable is the i-th free one *)
+  let closes = Array.make (List.length free) [] in
+  let upfront =
+    List.filter
+      (fun ((_, y, z) as pair) ->
+        let i = max (position y) (position z) in
+        if i >= 0 then closes.(i) <- pair :: closes.(i);
+        i < 0)
+      ctx.bag_pairs.(sigma)
+  in
+  let holds ty (p, y, z) =
+    Word_type.pair_ok ctx.tbox p (Cq.Var_map.find y ty) (Cq.Var_map.find z ty)
+  in
+  let rec product acc i = function
+    | [] -> [ acc ]
+    | (z, ws) :: rest ->
+      List.concat_map
+        (fun word ->
+          let acc = Cq.Var_map.add z word acc in
+          if List.for_all (holds acc) closes.(i) then product acc (i + 1) rest
+          else [])
+        ws
+  in
+  if
+    Cq.Var_map.for_all (Word_type.locally_ok ctx.tbox ctx.q) fixed
+    && List.for_all (holds fixed) upfront
+  then product fixed 0 per_var
+  else []
+
+(* The splitting family of Lemma 10, computed once per rewrite: a subtree D
+   with its boundary variables ∂D, the answer variables of its atoms, its
+   splitting node and the subtrees left when that node is removed. *)
+type subtree = {
+  id : int;
+  boundary : Cq.var list;
+  xd : Cq.var list;
+  sigma : int;
+  children : subtree list;
+}
+
+let rec split ctx count d =
+  let sigma = splitter ctx d in
+  let children =
+    List.map (split ctx count)
+      (Ugraph.components_within (tree ctx) (List.filter (fun t -> t <> sigma) d))
+  in
+  incr count;
+  { id = !count; boundary = boundary_vars ctx d; xd = x_of ctx d; sigma; children }
 
 (* returns the predicate (with its argument variables) for (D, w), or None
    when no clause for it can fire *)
 let rec pred_for ctx d w =
-  let key = memo_key d w in
+  let key = (d.id, Cq.Var_map.bindings w) in
   match Hashtbl.find_opt ctx.memo key with
   | Some r -> r
   | None ->
-    (* break potential re-entry (cannot happen: strictly decreasing D) *)
-    let boundary = boundary_vars ctx d in
-    let xd = x_of ctx d in
-    let args = boundary @ xd in
+    let args = d.boundary @ d.xd in
     ctx.counter <- ctx.counter + 1;
-    let p = Symbol.fresh (Printf.sprintf "Glog%d" ctx.counter) in
-    let sigma = splitter ctx d in
-    let bag_vars = bag ctx sigma in
-    let children =
-      Ugraph.components_within (tree ctx)
-        (List.filter (fun t -> t <> sigma) d)
-    in
+    let p = Symbol.fresh ("Glog" ^ string_of_int ctx.counter) in
+    let bag_vars = bag ctx d.sigma in
     let head = (p, List.map (fun v -> Ndl.Var v) args) in
     let made = ref false in
     List.iter
@@ -189,28 +224,27 @@ let rec pred_for ctx d w =
         let rec child_calls acc = function
           | [] -> Some (List.rev acc)
           | d' :: rest -> (
-            let w' = restrict_type union (boundary_vars ctx d') in
-            match pred_for ctx d' w' with
+            match pred_for ctx d' (restrict_type union d'.boundary) with
             | None -> None
             | Some (p', args') ->
               child_calls
                 (Ndl.Pred (p', List.map (fun v -> Ndl.Var v) args') :: acc)
                 rest)
         in
-        match child_calls [] children with
+        match child_calls [] d.children with
         | None -> ()
         | Some calls ->
           let at =
-            Word_type.at_atoms ctx.tbox ctx.q ~scope:bag_vars
+            Word_type.at_atoms ctx.tbox ctx.bag_atoms.(d.sigma) ~scope:bag_vars
               ~emit_for:(fun _ -> true)
               s
           in
           made := true;
           emit ctx head (at @ calls))
-      (bag_types ctx w bag_vars);
+      (bag_types ctx w d.sigma);
     let result = if !made then Some (p, args) else None in
     Hashtbl.replace ctx.memo key result;
-    if !made then ctx.params <- Symbol.Map.add p (List.length xd) ctx.params;
+    if !made then ctx.params <- Symbol.Map.add p (List.length d.xd) ctx.params;
     result
 
 let rewrite ?(budget = Budget.none) ?decomposition tbox q =
@@ -248,12 +282,37 @@ let rewrite ?(budget = Budget.none) ?decomposition tbox q =
           "Log_rewriter.rewrite: atom %a not covered by the decomposition"
           Cq.pp_atom atoms.(i))
     coverage;
+  let cands = Word_type.candidates tbox ~max_depth:d_depth in
+  let words =
+    Array.fold_left
+      (List.fold_left (fun acc z ->
+           if Cq.Var_map.mem z acc then acc
+           else Cq.Var_map.add z (List.filter (Word_type.locally_ok tbox q z) cands) acc))
+      Cq.Var_map.empty dec.Tree_decomposition.bags
+  in
+  let bag_atoms =
+    Array.map
+      (fun bag_vars ->
+        List.filter
+          (fun atom -> List.for_all (fun v -> List.mem v bag_vars) (Cq.atom_vars atom))
+          (Cq.atoms q))
+      dec.Tree_decomposition.bags
+  in
+  let bag_pairs =
+    Array.map
+      (List.filter_map (function
+        | Cq.Binary (p, y, z) when y <> z -> Some (p, y, z)
+        | Cq.Binary _ | Cq.Unary _ -> None))
+      bag_atoms
+  in
   let ctx =
     {
       tbox;
       q;
       dec;
-      cands = Word_type.candidates tbox ~max_depth:d_depth;
+      words;
+      bag_atoms;
+      bag_pairs;
       x = Cq.answer_vars q;
       budget;
       coverage;
@@ -267,7 +326,7 @@ let rewrite ?(budget = Budget.none) ?decomposition tbox q =
   let all_nodes = List.init (Array.length dec.Tree_decomposition.bags) Fun.id in
   let goal = Symbol.fresh "GLog" in
   let goal_args = Cq.answer_vars q in
-  (match pred_for ctx all_nodes Cq.Var_map.empty with
+  (match pred_for ctx (split ctx (ref 0) all_nodes) Cq.Var_map.empty with
   | Some (p, args) ->
     emit ctx
       (goal, List.map (fun v -> Ndl.Var v) goal_args)

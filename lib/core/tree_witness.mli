@@ -22,4 +22,24 @@ val enumerate : ?limit:int -> Tbox.t -> Cq.t -> t list
 (** All tree witnesses with connected t_i — sufficient for the rewriting of
     Section 3.4 (the completeness proof only produces connected interiors).
     [limit] bounds the number of connected candidate sets explored
-    (default 100_000); exceeding it raises [Invalid_argument]. *)
+    (default 100_000); exceeding it raises [Invalid_argument].
+
+    One call tests each connected candidate t_i once.  A letter test first
+    (arc consistency over the last letters of the nulls the interior could
+    map to) rejects most non-witnesses without a model; the survivors are
+    decided by {!Obda_chase.Certain.find_hom} into C_{T,{A_ρ(a)}} to depth
+    |t_i| + 1, and each such (ρ, depth) model is built once per call and
+    shared by its candidates.  Nothing is kept across calls.  Adds the
+    number of witnesses to the [rewrite.tree_witnesses] counter. *)
+
+val within : t list -> Cq.t -> t list
+(** [within (enumerate T q) q'] keeps, in order, the witnesses whose
+    interior lies in the existential variables of [q'].
+
+    When [q'] is a subquery of [q] whose existential variables are
+    existential in [q] and which keeps every atom of [q] mentioning one of
+    them — as every subquery the Tw rewriter forms does, at any depth: a
+    branch of q − z with z answer, or a component of q minus q_t with t_r
+    answer — this equals [enumerate T q']: the same connected candidates,
+    roots, atoms and generators, in the same order.  So the Tw rewriter
+    enumerates each component of the CQ once and selects per subquery. *)

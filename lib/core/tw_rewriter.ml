@@ -72,16 +72,19 @@ let unary_pred_candidates st q =
   in
   List.sort_uniq Symbol.compare (from_tbox @ from_q)
 
-let rec pred_for st q =
+(* [tws] are the tree witnesses of the component of the original CQ that [q]
+   is a subquery of: [q] keeps every atom of each of its existential
+   variables, so its own witnesses are those of [tws] inside them. *)
+let rec pred_for st tws q =
   match CqMap.find_opt q st.preds with
   | Some p -> p
   | None ->
     let p = fresh_pred st in
     st.preds <- CqMap.add q p st.preds;
-    build st q p;
+    build st tws q p;
     p
 
-and build st q p =
+and build st tws q p =
   let args, nparams = args_of st q in
   st.params <- Symbol.Map.add p nparams st.params;
   let head = (p, List.map (fun v -> Ndl.Var v) args) in
@@ -120,7 +123,7 @@ and build st q p =
               (Cq.atoms q)
           in
           let qi = Cq.restrict_to q ~answer:(x @ [ zq ]) atoms_i in
-          let pi = pred_for st qi in
+          let pi = pred_for st tws qi in
           let args_i, _ = args_of st qi in
           Ndl.Pred (pi, List.map (fun v -> Ndl.Var v) args_i))
         branches
@@ -135,7 +138,6 @@ and build st q p =
     let body1 = if body1 = [] then [ Ndl.Dom (Ndl.Var zq) ] else body1 in
     emit st { Ndl.head; body = body1 };
     (* --- clauses mapping z_q into the anonymous part, via tree witnesses --- *)
-    let witnesses = Tree_witness.enumerate st.tbox q in
     List.iter
       (fun (t : Tree_witness.t) ->
         if t.roots <> [] && List.mem zq t.interior then begin
@@ -157,7 +159,7 @@ and build st q p =
               let rest_q = Cq.restrict_to q ~answer remaining in
               List.map
                 (fun comp ->
-                  let pc = pred_for st comp in
+                  let pc = pred_for st tws comp in
                   let args_c, _ = args_of st comp in
                   Ndl.Pred (pc, List.map (fun v -> Ndl.Var v) args_c))
                 (Cq.connected_components rest_q)
@@ -173,7 +175,7 @@ and build st q p =
                 })
             t.generators
         end)
-      witnesses;
+      (Tree_witness.within tws q);
     (* --- Boolean subqueries may map entirely into the anonymous part --- *)
     if x = [] then
       List.iter
@@ -207,7 +209,11 @@ let rewrite ?(budget = Budget.none) tbox q0 =
   let calls =
     List.map
       (fun c ->
-        let pc = pred_for st c in
+        let tws =
+          if Cq.existential_vars c = [] then []
+          else Tree_witness.enumerate tbox c
+        in
+        let pc = pred_for st tws c in
         let args_c, _ = args_of st c in
         Ndl.Pred (pc, List.map (fun v -> Ndl.Var v) args_c))
       components

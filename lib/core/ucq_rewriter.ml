@@ -152,21 +152,35 @@ let reductions w =
       | _ -> None)
     (pairs [] w.atoms)
 
+(* The seen set hashes every atom: the polymorphic [Hashtbl.hash] reads only
+   the first few atoms, so the rewritings of a long chain would share a few
+   buckets and each [push] would compare along them. *)
+module Seen = Hashtbl.Make (struct
+  type t = wcq
+
+  let equal = ( = )
+
+  let hash w =
+    List.fold_left
+      (fun h atom -> (h * 31) + Hashtbl.hash atom)
+      (Hashtbl.hash w.answer) w.atoms
+end)
+
 let rewrite_wcqs ?(budget = Budget.none) ?(max_cqs = 100_000) tbox q =
   let counter = ref 0 in
-  let seen = Hashtbl.create 256 in
+  let seen = Seen.create 256 in
   let out = ref [] in
   let queue = Queue.create () in
   let push w =
     let w = canonicalize w in
-    if w.atoms <> [] && not (Hashtbl.mem seen w) then begin
-      if Hashtbl.length seen >= max_cqs then
+    if w.atoms <> [] && not (Seen.mem seen w) then begin
+      if Seen.length seen >= max_cqs then
         raise
           (Error.Obda_error
              (Error.Budget_exhausted
                 { resource = Size; spent = max_cqs + 1; limit = max_cqs }));
       Budget.grow ~by:(List.length w.atoms) budget;
-      Hashtbl.add seen w ();
+      Seen.add seen w ();
       out := w :: !out;
       Queue.add w queue
     end

@@ -19,20 +19,22 @@ let candidates tbox ~max_depth = [] :: Tbox.words_up_to tbox max_depth
 
 let last_letter = function [] -> None | w -> Some (List.nth w (List.length w - 1))
 
-let locally_ok tbox q z w =
-  match w with
-  | [] -> true
-  | _ ->
-    (not (Cq.is_answer_var q z))
-    && (match last_letter w with
-       | Some rho ->
-         List.for_all
-           (fun a -> Tbox.null_satisfies tbox rho a)
-           (Cq.unary_atoms_of q z)
-       | None -> true)
-    && List.for_all
-         (fun p -> Tbox.reflexive tbox (Role.make p))
-         (Cq.loop_atoms_of q z)
+(* partial application to (tbox, q, z) reads z's atoms once *)
+let locally_ok tbox q z =
+  let answer = Cq.is_answer_var q z in
+  let unary = Cq.unary_atoms_of q z in
+  let loops_ok =
+    List.for_all (fun p -> Tbox.reflexive tbox (Role.make p)) (Cq.loop_atoms_of q z)
+  in
+  fun w ->
+    match w with
+    | [] -> true
+    | _ ->
+      (not answer)
+      && (match last_letter w with
+         | Some rho -> List.for_all (fun a -> Tbox.null_satisfies tbox rho a) unary
+         | None -> true)
+      && loops_ok
 
 (* P(y,z) with y ↦ wy, z ↦ wz: (i) both ε; (ii) equal words and reflexive P;
    (iii) ρ ⊑ P with wz = wy·ρ or wy = wz·ρ⁻. *)
@@ -56,26 +58,7 @@ let pair_ok tbox p wy wz =
           | None -> false
         else false)
 
-let compatible_on tbox q vars ty =
-  let value z = Cq.Var_map.find_opt z ty in
-  List.for_all
-    (fun z ->
-      match value z with None -> true | Some w -> locally_ok tbox q z w)
-    vars
-  && List.for_all
-       (fun atom ->
-         match atom with
-         | Cq.Unary _ -> true
-         | Cq.Binary (p, y, z) ->
-           if y = z then true
-           else if List.mem y vars && List.mem z vars then (
-             match (value y, value z) with
-             | Some wy, Some wz -> pair_ok tbox p wy wz
-             | _ -> true)
-           else true)
-       (Cq.atoms q)
-
-let at_atoms tbox q ~scope ~emit_for ty =
+let at_atoms tbox atoms ~scope ~emit_for ty =
   let in_scope z = List.mem z scope in
   let value z = Option.value ~default:[] (Cq.Var_map.find_opt z ty) in
   let from_atoms =
@@ -94,7 +77,7 @@ let at_atoms tbox q ~scope ~emit_for ty =
           if value z = [] then [ Ndl.Pred (p, [ Ndl.Var z; Ndl.Var z ]) ]
           else []
         | Cq.Unary _ | Cq.Binary _ -> [])
-      (Cq.atoms q)
+      atoms
   in
   let from_words =
     List.filter_map

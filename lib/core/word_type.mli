@@ -28,14 +28,11 @@ val pair_ok : Tbox.t -> Symbol.t -> word -> word -> bool
     mapped according to the two words — conditions (i)–(iii) of
     "compatible" in Section 3.2. *)
 
-val compatible_on : Tbox.t -> Cq.t -> Cq.var list -> t -> bool
-(** Whether the restriction of the type to the listed variables satisfies all
-    local and pairwise conditions for the atoms within those variables. *)
-
 val at_atoms :
-  Tbox.t -> Cq.t -> scope:Cq.var list -> emit_for:(Cq.var -> bool) -> t ->
-  Obda_ndl.Ndl.atom list
-(** The conjunction At^s of Section 3.2 over the atoms of q within [scope]:
+  Tbox.t -> Cq.atom list -> scope:Cq.var list -> emit_for:(Cq.var -> bool) ->
+  t -> Obda_ndl.Ndl.atom list
+(** The conjunction At^s of Section 3.2 over the given atoms of q (in
+    order) that lie within [scope] — the rewriters pass just those:
     (a) data atoms for ε-variables, (b) equalities when a variable is mapped
     into the anonymous part, (c) A_ρ(z) for variables whose word starts with
     ρ.  Only atoms having at least one variable satisfying [emit_for] are

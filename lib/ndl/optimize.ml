@@ -7,22 +7,43 @@ let body_preds (c : Ndl.clause) =
 
 let prune ~edb (q : Ndl.query) =
   (* 1. keep only productive clauses: every non-EDB body predicate must have
-        a productive defining clause *)
+        a productive defining clause.  The least fixpoint, by a worklist:
+        each clause counts its distinct body predicates not yet known
+        productive, and its head becomes productive when the count is 0 *)
   let productive = Symbol.Tbl.create 16 in
-  let changed = ref true in
+  let waiting = Symbol.Tbl.create 16 in
+  let queue = Queue.create () in
+  let mark p =
+    if not (Symbol.Tbl.mem productive p) then begin
+      Symbol.Tbl.add productive p ();
+      Queue.add p queue
+    end
+  in
+  List.iter
+    (fun (c : Ndl.clause) ->
+      let pending =
+        List.sort_uniq Symbol.compare
+          (List.filter (fun p -> not (edb p)) (body_preds c))
+      in
+      if pending = [] then mark (fst c.head)
+      else
+        let count = ref (List.length pending) in
+        List.iter
+          (fun p ->
+            let cur = Option.value ~default:[] (Symbol.Tbl.find_opt waiting p) in
+            Symbol.Tbl.replace waiting p ((count, fst c.head) :: cur))
+          pending)
+    q.clauses;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun (count, head) ->
+        decr count;
+        if !count = 0 then mark head)
+      (Option.value ~default:[] (Symbol.Tbl.find_opt waiting (Queue.pop queue)))
+  done;
   let viable (c : Ndl.clause) =
     List.for_all (fun p -> edb p || Symbol.Tbl.mem productive p) (body_preds c)
   in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (c : Ndl.clause) ->
-        if (not (Symbol.Tbl.mem productive (fst c.head))) && viable c then begin
-          Symbol.Tbl.add productive (fst c.head) ();
-          changed := true
-        end)
-      q.clauses
-  done;
   let clauses = List.filter viable q.clauses in
   (* 2. keep only clauses reachable from the goal *)
   let by_head = Symbol.Tbl.create 16 in

@@ -38,7 +38,7 @@ let name i = with_lock (fun () -> Hashtbl.find names i)
 let fresh prefix =
   with_lock (fun () ->
       let rec try_at n =
-        let candidate = Printf.sprintf "%s#%d" prefix n in
+        let candidate = prefix ^ "#" ^ string_of_int n in
         if Hashtbl.mem table candidate then try_at (n + 1)
         else begin
           let i = !next in

@@ -446,7 +446,63 @@ let snapshot_isolation =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* 7. consistency handling: inconsistent data returns all tuples *)
+(* 7. the closure fact the Tw rewriter enumerates by: each subquery it
+      forms — a branch of q − z with z an answer variable, or a component
+      of q minus q_t with the roots as answer variables — keeps every atom
+      of its existential variables, so its tree witnesses are those of q
+      whose interior lies in its existential variables, in the same order *)
+
+let tree_witness_closure =
+  QCheck.Test.make ~count:150
+    ~name:"Tw subqueries: their tree witnesses are the CQ's, selected"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 6))
+    (fun (seed, qsize) ->
+      let module Tree_witness = Obda_rewriting.Tree_witness in
+      let rng = Random.State.make [| seed; 91 |] in
+      let tbox = random_tbox rng in
+      let q = random_tree_cq rng qsize in
+      let x = Cq.answer_vars q in
+      let all = Tree_witness.enumerate tbox q in
+      let g = Cq.gaifman q in
+      let atoms_meeting vars =
+        List.filter
+          (fun a -> List.exists (fun v -> List.mem v vars) (Cq.atom_vars a))
+          (Cq.atoms q)
+      in
+      let branches =
+        List.concat_map
+          (fun z ->
+            let rest =
+              List.filter (fun v -> v <> z) (Cq.vars q) |> List.map (Cq.var_index q)
+            in
+            List.map
+              (fun branch ->
+                atoms_meeting (List.map (Cq.var_of_index q) branch)
+                |> Cq.restrict_to q ~answer:(x @ [ z ]))
+              (Ugraph.components_within g rest))
+          (Cq.existential_vars q)
+      in
+      let complements =
+        List.concat_map
+          (fun (t : Tree_witness.t) ->
+            match List.filter (fun a -> not (List.mem a t.atoms)) (Cq.atoms q) with
+            | [] -> []
+            | remaining ->
+              let answer = x @ List.filter (fun r -> not (List.mem r x)) t.roots in
+              Cq.connected_components (Cq.restrict_to q ~answer remaining))
+          all
+      in
+      List.for_all
+        (fun sub ->
+          Tree_witness.enumerate tbox sub = Tree_witness.within all sub
+          || QCheck.Test.fail_reportf "tbox=%s q=%a sub=%a"
+               (String.concat "; "
+                  (List.map (Format.asprintf "%a" Tbox.pp_axiom) (Tbox.axioms tbox)))
+               Cq.pp q Cq.pp sub)
+        (branches @ complements))
+
+(* ------------------------------------------------------------------ *)
+(* 8. consistency handling: inconsistent data returns all tuples *)
 
 let inconsistent_all_tuples () =
   let tbox =
@@ -484,6 +540,7 @@ let suites =
         QCheck_alcotest.to_alcotest monotone_in_data;
         QCheck_alcotest.to_alcotest planner_differential;
         QCheck_alcotest.to_alcotest snapshot_isolation;
+        QCheck_alcotest.to_alcotest tree_witness_closure;
         Alcotest.test_case "inconsistent data returns all tuples" `Quick
           inconsistent_all_tuples;
       ] );

@@ -313,10 +313,104 @@ let test_lin_metrics () =
     "complete-level width gauge" (Some (Ndl.width q_complete))
     (Obs.Collector.gauge_int c_complete "ndl.width")
 
+(* The Tw, Lin and Log programs of every Fig. 2 cell (three sequences ×
+   prefixes 1–15, over arbitrary instances, Example 11's TBox) against the
+   MD5s pinned in [rewritings.digests]: a speed-up of a rewriter must not
+   change its output by one clause.
+
+   Two things about a program depend on the process rather than on the
+   rewriter.  Fresh predicate names take the first free [#n], so each
+   [#]-suffixed name is renumbered in order of first occurrence.  And the
+   ∗-transformation lists the clauses of a completed predicate in symbol
+   order, i.e. in the order the process first interned the names; so the
+   test renames Example 11's predicates to names no other test interns, and
+   interns them itself, TBox first. *)
+let renumber_fresh text =
+  let names = Hashtbl.create 64 in
+  let out = Buffer.create (String.length text) in
+  let token = Buffer.create 32 in
+  let flush () =
+    let t = Buffer.contents token in
+    Buffer.clear token;
+    match String.index_opt t '#' with
+    | None -> Buffer.add_string out t
+    | Some i ->
+      let k =
+        match Hashtbl.find_opt names t with
+        | Some k -> k
+        | None ->
+          let k = Hashtbl.length names in
+          Hashtbl.add names t k;
+          k
+      in
+      Buffer.add_string out (Printf.sprintf "%s#%d" (String.sub t 0 i) k)
+  in
+  String.iter
+    (function
+      | (' ' | '\n' | '\t' | '(' | ')' | ',') as c ->
+        flush ();
+        Buffer.add_char out c
+      | c -> Buffer.add_char token c)
+    text;
+  flush ();
+  Buffer.contents out
+
+let fig2_digests () =
+  let name letter = letter ^ "_fig2" in
+  let p = role (name "P") in
+  let s = role (name "S") in
+  let r = role (name "R") in
+  let t = Tbox.make [ Tbox.Role_incl (p, s); Tbox.Role_incl (p, Role.inv r) ] in
+  List.concat_map
+    (fun (seq, letters) ->
+      List.concat_map
+        (fun len ->
+          let word = List.init len (fun i -> name (String.make 1 letters.[i])) in
+          let omq = Omq.make t (word_cq word) in
+          List.map
+            (fun alg ->
+              let text =
+                Format.asprintf "%a" Ndl.pp (Omq.rewrite ~over:`Arbitrary alg omq)
+              in
+              Printf.sprintf "%d %d %s %s" seq len (Omq.algorithm_name alg)
+                (Digest.to_hex (Digest.string (renumber_fresh text))))
+            [ Omq.Tw; Omq.Lin; Omq.Log ])
+        (List.init 15 (fun i -> i + 1)))
+    [ (1, "RRSRSRSRRSRRSSR"); (2, "SRRRRRSRSRRRRRR"); (3, "SRRSSRSRSRRSRRS") ]
+
+let test_rewriting_digests () =
+  let pinned =
+    In_channel.with_open_text "rewritings.digests" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let computed = fig2_digests () in
+  Alcotest.(check int) "135 cells pinned" 135 (List.length pinned);
+  Alcotest.(check (list string)) "rewriting digests" pinned computed
+
+(* [rewrite.tree_witnesses] counts each witness of a component once per
+   rewrite: Tw and Presto* read the 10 tree witnesses of the 15-atom
+   sequence-1 prefix of Fig. 2. *)
+let test_tree_witness_count () =
+  let module Obs = Obda_obs.Obs in
+  let letters = "RRSRSRSRRSRRSSR" in
+  let omq =
+    Omq.make (example11_tbox ())
+      (word_cq (List.init 15 (fun i -> String.make 1 letters.[i])))
+  in
+  let count alg =
+    let _, c = Obs.collecting (fun () -> Omq.rewrite alg omq) in
+    Obs.Collector.counter c "rewrite.tree_witnesses"
+  in
+  Alcotest.(check int) "Tw" 10 (count Omq.Tw);
+  Alcotest.(check int) "Presto*" 10 (count Omq.Presto_like)
+
 let suites =
   [
     ( "rewriting",
       [
+        Alcotest.test_case "Fig. 2 rewritings match their pinned digests" `Quick
+          test_rewriting_digests;
         Alcotest.test_case "example OMQ, all prefixes, all algorithms" `Quick
           test_example_omq_all_prefixes;
         Alcotest.test_case "boolean queries" `Quick test_boolean_queries;
@@ -331,6 +425,8 @@ let suites =
         Alcotest.test_case "disconnected queries" `Quick
           test_disconnected_queries;
         Alcotest.test_case "Lin telemetry metrics" `Quick test_lin_metrics;
+        Alcotest.test_case "tree witnesses counted once per rewrite" `Quick
+          test_tree_witness_count;
         QCheck_alcotest.to_alcotest (qcheck_agreement Omq.Tw);
         QCheck_alcotest.to_alcotest (qcheck_agreement Omq.Lin);
         QCheck_alcotest.to_alcotest (qcheck_agreement Omq.Log);

@@ -68,6 +68,27 @@ let test_limit () =
          (Obda_runtime.Error.Budget_exhausted { resource = Size; _ }) ->
        true)
 
+(* The seen set must not make the rewriter slower than its cap: on the
+   40-atom S/R chain over Example 11's TBox, 5,000 rewritings are reached
+   within a 3 s wall-clock allowance (about 0.3 s on a 2-core host).  The
+   budget checks its deadline only every 1024 steps, so the elapsed time is
+   checked as well. *)
+let test_cap_before_clock () =
+  let letters = List.init 40 (fun i -> if i mod 2 = 0 then "S" else "R") in
+  let budget = Obda_runtime.Budget.create ~timeout:3. () in
+  let t0 = Unix.gettimeofday () in
+  check "size cap, not the clock" true
+    (try
+       ignore
+         (Ucq.rewrite_cqs ~budget ~max_cqs:5_000 (example11_tbox ())
+            (word_cq letters));
+       false
+     with
+     | Obda_runtime.Error.Obda_error
+         (Obda_runtime.Error.Budget_exhausted { resource = Size; _ }) ->
+       true);
+  check "within the allowance" true (Unix.gettimeofday () -. t0 < 3.)
+
 let test_condensed_smaller () =
   let t = example11_tbox () in
   let q = word_cq [ "R"; "S"; "R" ] in
@@ -178,6 +199,8 @@ let suites =
         Alcotest.test_case "includes the original CQ" `Quick
           test_includes_original;
         Alcotest.test_case "limit" `Quick test_limit;
+        Alcotest.test_case "40-atom chain reaches its cap in time" `Quick
+          test_cap_before_clock;
         Alcotest.test_case "condensation shrinks" `Quick test_condensed_smaller;
         QCheck_alcotest.to_alcotest condensed_agrees;
         QCheck_alcotest.to_alcotest parser_roundtrip;
