@@ -647,7 +647,7 @@ let server_address socket tcp =
 let serve_cmd =
   let module Service = Obda_service in
   let run ontology data script cache_entries cache_size socket tcp connections
-      backlog max_inflight idle_timeout request_timeout access_log slow_ms
+      backlog max_inflight idle_timeout access_log slow_ms
       data_dir durability checkpoint_every budget jobs inject telemetry =
     handle_errors (fun () ->
         init_telemetry ~budget telemetry;
@@ -720,17 +720,16 @@ let serve_cmd =
           Service.Session.create ~budget ?cache_entries
             ?cache_weight:cache_size ~jobs ()
         in
-        let wal = ref None in
         Fun.protect
           ~finally:(fun () ->
-            (match !wal with
+            (match Service.Session.wal session with
             | Some w ->
               (* a final checkpoint makes the next start instant (empty
                  replay); best-effort — the WAL alone already carries
                  every acknowledged mutation *)
-              (try ignore (Service.Serve.checkpoint_now session w)
+              (try ignore (Service.Session.checkpoint session w)
                with _ -> ());
-              Service.Serve.detach_wal session;
+              Service.Session.detach_wal session;
               Service.Wal.close w
             | None -> ());
             Service.Session.close session)
@@ -741,12 +740,11 @@ let serve_cmd =
               let w, recovered =
                 Service.Wal.open_ ~policy:wal_policy ?checkpoint_every dir
               in
-              wal := Some w;
               List.iter
                 (fun warning -> Printf.eprintf "obda: wal: %s\n%!" warning)
                 recovered.Service.Wal.warnings;
-              (* restore recovered state BEFORE hooking mutations to the
-                 log, so the restore itself is not re-appended *)
+              (* restore recovered state BEFORE attaching the log, so the
+                 restore itself is not re-appended *)
               (match recovered.Service.Wal.tbox with
               | Some tbox -> Service.Session.load_ontology session tbox
               | None -> ());
@@ -761,7 +759,7 @@ let serve_cmd =
                     (Service.Session.prepare session ~name ~algorithm
                        (Parse.query_of_string cq_text)))
                 recovered.Service.Wal.prepared;
-              Service.Serve.attach_wal session w;
+              Service.Session.attach_wal session w;
               Printf.eprintf
                 "obda: durable session in %s (policy=%s, checkpoint=%s, \
                  replayed=%d record%s)\n\
@@ -790,7 +788,7 @@ let serve_cmd =
               end;
               let server =
                 Service.Server.create ?connections ?backlog ?max_inflight
-                  ?idle_timeout ?request_timeout address session
+                  ?idle_timeout address session
               in
               (* graceful shutdown: stop accepting, drain requests in
                  flight, then exit through the normal teardown with the
@@ -809,17 +807,16 @@ let serve_cmd =
                 (Option.value connections ~default:4);
               let on_drain =
                 Option.map
-                  (fun w () ->
-                    ignore (Service.Serve.checkpoint_now session w))
-                  !wal
+                  (fun w () -> ignore (Service.Session.checkpoint session w))
+                  (Service.Session.wal session)
               in
               let code = Service.Server.run ?on_drain server in
               if code <> 0 then begin
                 (* exit bypasses Fun.protect: close the log here so the
                    SIGTERM drain checkpoint is followed by a final sync *)
-                (match !wal with
+                (match Service.Session.wal session with
                 | Some w ->
-                  Service.Serve.detach_wal session;
+                  Service.Session.detach_wal session;
                   Service.Wal.close w
                 | None -> ());
                 exit code
@@ -908,15 +905,6 @@ let serve_cmd =
             "Close a connection that sends no request for $(docv) seconds \
              (after an ERR class=budget line).")
   in
-  let request_timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "request-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Wall-clock cap per request, combined with the session --timeout \
-             (the tighter deadline wins).")
-  in
   let access_log =
     Arg.(
       value
@@ -976,15 +964,16 @@ let serve_cmd =
          "Serve queries over a long-lived session: a newline-delimited \
           protocol (LOAD, PREPARE, ANSWER, BATCH, ASSERT, RETRACT, STATS, \
           METRICS, QUIT) on stdin/stdout, with prepared queries backed by a \
-          content-addressed rewriting cache.  Each request runs under a \
-          fresh sub-budget of the session budget; failures are reported as \
-          in-protocol ERR lines, leaving the session usable.  With --jobs N \
+          content-addressed rewriting cache.  Each request gets the whole \
+          --timeout/--max-steps/--max-size allowance, counted from its own \
+          start; failures are reported as in-protocol ERR lines, leaving \
+          the session usable.  With --jobs N \
           evaluation (ANSWER, and BATCH queries) runs on N worker domains \
           with byte-identical responses.  With --socket or --tcp the \
           protocol is served over the network instead: --connections \
           concurrent clients against one shared session, every \
           ANSWER/BATCH isolated on a copy-on-write ABox snapshot, with \
-          admission control, idle/request timeouts and graceful drain on \
+          admission control, idle timeouts and graceful drain on \
           SIGTERM/SIGINT.  With --data-dir the session is durable: a \
           write-ahead log captures every mutation before its OK, \
           checkpoints compact it, and a restart (even after kill -9) \
@@ -992,7 +981,7 @@ let serve_cmd =
     Term.(
       const run $ ontology $ data $ script $ cache_entries $ cache_size
       $ socket_arg $ tcp_arg $ connections $ backlog $ max_inflight
-      $ idle_timeout $ request_timeout $ access_log $ slow_ms $ data_dir
+      $ idle_timeout $ access_log $ slow_ms $ data_dir
       $ durability $ checkpoint_every $ budget_term $ jobs_term $ inject_term
       $ telemetry_term)
 

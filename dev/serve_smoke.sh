@@ -1,7 +1,8 @@
 #!/bin/sh
 # Serve smoke: boot the network server on a Unix socket, drive 8
 # concurrent clients with mixed ASSERT/RETRACT + ANSWER traffic, check
-# that trivial load sheds nothing, then SIGTERM the server and check the
+# that trivial load sheds nothing and that --timeout bounds each request
+# rather than the server's lifetime, then SIGTERM the server and check the
 # graceful drain exits 143.
 set -e
 cd "$(dirname "$0")/.."
@@ -12,8 +13,8 @@ OBDA=_build/default/bin/obda.exe
 dir=$(mktemp -d)
 sock="$dir/obda.sock"
 
-"$OBDA" serve --socket "$sock" --connections 8 \
-  -o test/corpus/good.onto -d test/corpus/good.data &
+"$OBDA" serve --socket "$sock" --connections 8 --timeout 2 \
+  -o test/corpus/good.onto -d test/corpus/chain.data &
 server=$!
 trap 'kill "$server" 2>/dev/null; rm -rf "$dir"' EXIT
 
@@ -45,6 +46,16 @@ done
 # no client may have been shed or errored at this load
 if grep -h '^ERR' "$dir/prep.out" "$dir"/c*.out; then
   echo "unexpected ERR under trivial load" >&2
+  exit 1
+fi
+
+# --timeout is per request: past the server's first 2 s, an ANSWER whose
+# evaluation reads the clock (over 1,024 budget steps) still answers
+sleep 3
+printf 'ANSWER q\nQUIT\n' | "$OBDA" client --socket "$sock" > "$dir/late.out"
+if ! grep -q '^OK answers=' "$dir/late.out"; then
+  echo "ANSWER after the first --timeout window did not answer:" >&2
+  cat "$dir/late.out" >&2
   exit 1
 fi
 
@@ -104,4 +115,4 @@ if [ "$code" -ne 143 ]; then
   exit 1
 fi
 
-echo "serve smoke: 8 clients served, 0 requests shed, METRICS parsed, top rendered, SIGTERM drained with exit 143"
+echo "serve smoke: 8 clients served, 0 requests shed, --timeout per request, METRICS parsed, top rendered, SIGTERM drained with exit 143"

@@ -229,24 +229,9 @@ let inconsistent_answers ~on_inconsistent omq abox =
             { reason = "the data violates a disjointness axiom of the ontology" }))
 
 (* The consistency pre-check is itself a chase over the completed data, so
-   it gets its own span in the request trace.  Its verdict only depends on
-   (T, A), so it is memoised against the instance's revision counter:
-   repeated [answer] calls over unchanged data — the prepare-once /
-   answer-many shape of the service layer — run the check exactly once.
-   One slot suffices because the hot pattern is many answers against one
-   resident instance; an interleaving of instances merely re-checks. *)
-let consistency_memo : (Tbox.t * Abox.t * int * bool) option ref = ref None
-
+   it gets its own span in the request trace. *)
 let consistent omq abox =
-  let rev = Abox.revision abox in
-  match !consistency_memo with
-  | Some (t, a, r, c) when t == omq.tbox && a == abox && r = rev -> c
-  | _ ->
-    let c =
-      Obs.with_span "chase.consistency" (fun () -> Abox.consistent omq.tbox abox)
-    in
-    consistency_memo := Some (omq.tbox, abox, rev, c);
-    c
+  Obs.with_span "chase.consistency" (fun () -> Abox.consistent omq.tbox abox)
 
 let answer ?pool ?budget ?explain ?(on_inconsistent = `All_tuples) ?algorithm
     omq abox =

@@ -92,9 +92,10 @@ val answer :
     count.  Rewriting and the consistency pre-check stay on the calling
     domain.
 
-    The consistency pre-check is memoised against {!Abox.revision}:
-    repeated [answer] calls over the same unchanged instance run the check
-    once.
+    Every call runs the consistency pre-check, which returns at once when
+    the TBox has no ⊥-axiom.  Callers answering many queries over one
+    instance keep their own verdict (the service layer's sessions memoise
+    it per data revision).
 
     [explain] is handed to the {!Obda_ndl.Eval.run} that computes the
     answers and receives one line per planned clause of the rewriting (the

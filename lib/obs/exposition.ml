@@ -39,6 +39,8 @@ let counter_rows =
     "requests"; "cache.hits"; "cache.misses"; "cache.evictions";
     "server.connections.accepted"; "server.connections.shed";
     "server.requests.served"; "server.requests.shed";
+    "server.wal.appended"; "server.wal.bytes"; "server.wal.syncs";
+    "server.wal.checkpoints";
   ]
 
 let row_kind key = if List.mem key counter_rows then "counter" else "gauge"

@@ -5,8 +5,7 @@
     relative width) plus a running sum.  Recording is lock-free (atomic
     bucket increments), so one histogram can be shared across the server's
     connection domains; merging is an exact bucket-wise integer sum, so it
-    is associative and commutative — per-worker shards combine at the
-    {!Obda_runtime.Pool} barrier and per-connection histograms combine in
+    is associative and commutative — per-connection histograms combine in
     [Server.stats] in any order with the same result.
 
     Recording is {b off by default}: {!record} with the global flag clear
@@ -79,15 +78,3 @@ val registered : ?scale:float -> string -> t
 
 val snapshots : unit -> snapshot list
 (** Snapshots of every registered histogram, sorted by name. *)
-
-(** {1 Domain-local shards} *)
-
-val local : ?scale:float -> string -> t
-(** The calling domain's private shard for [name] (created on first use,
-    along with its {!registered} merge target).  Pool workers record into
-    shards without contending on the shared registry histograms. *)
-
-val drain_local : unit -> unit
-(** Merge the calling domain's shards into their registry targets and
-    reset them.  Registered as a {!Obda_runtime.Pool.on_barrier} hook at
-    module-initialisation time, so every [Pool.run] drains automatically. *)

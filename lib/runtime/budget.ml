@@ -1,6 +1,6 @@
 type t = {
+  timeout : float option;  (* the wall-clock allowance in seconds *)
   deadline : float option;  (* absolute, Unix.gettimeofday *)
-  timeout_ms : int;  (* original allowance, for error reports *)
   max_steps : int option;
   max_size : int option;
   mutable steps : int;
@@ -11,17 +11,13 @@ type t = {
 let mask = 0x3FF
 
 let create ?timeout ?max_steps ?max_size () =
-  let deadline, timeout_ms =
-    match timeout with
-    | Some s -> (Some (Unix.gettimeofday () +. s), int_of_float (s *. 1000.))
-    | None -> (None, 0)
-  in
-  { deadline; timeout_ms; max_steps; max_size; steps = 0; size = 0 }
+  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
+  { timeout; deadline; max_steps; max_size; steps = 0; size = 0 }
 
 let none =
   {
+    timeout = None;
     deadline = None;
-    timeout_ms = 0;
     max_steps = None;
     max_size = None;
     steps = 0;
@@ -31,20 +27,15 @@ let none =
 let is_limited b =
   b.deadline <> None || b.max_steps <> None || b.max_size <> None
 
-let sub ?timeout b =
-  match timeout with
-  | None -> { b with steps = 0; size = 0 }
-  | Some s ->
-    (* per-request wall allowance: the tighter of [now + s] and the
-       parent's own deadline, so a request timeout can never extend the
-       session's total time envelope *)
-    let d = Unix.gettimeofday () +. s in
-    let deadline, timeout_ms =
-      match b.deadline with
-      | Some pd when pd < d -> (Some pd, b.timeout_ms)
-      | _ -> (Some d, int_of_float (s *. 1000.))
-    in
-    { b with deadline; timeout_ms; steps = 0; size = 0 }
+let sub b = { b with steps = 0; size = 0 }
+
+let restart b =
+  {
+    b with
+    deadline = Option.map (fun s -> Unix.gettimeofday () +. s) b.timeout;
+    steps = 0;
+    size = 0;
+  }
 
 let sub_scaled ~factor b =
   if factor < 1. then invalid_arg "Budget.sub_scaled: factor < 1";
@@ -79,15 +70,14 @@ let absorb b ~from =
 let exhausted resource spent limit =
   raise (Error.Obda_error (Error.Budget_exhausted { resource; spent; limit }))
 
+let ms s = int_of_float (s *. 1000.)
+
 let check_deadline b =
-  match b.deadline with
-  | Some d ->
+  match (b.deadline, b.timeout) with
+  | Some d, Some s ->
     let now = Unix.gettimeofday () in
-    if now > d then
-      exhausted Error.Wall_clock
-        (b.timeout_ms + int_of_float ((now -. d) *. 1000.))
-        b.timeout_ms
-  | None -> ()
+    if now > d then exhausted Error.Wall_clock (ms s + ms (now -. d)) (ms s)
+  | _ -> ()
 
 let step b =
   b.steps <- b.steps + 1;
@@ -111,15 +101,8 @@ type limits = {
   max_size : int option;
 }
 
-let limits b =
-  {
-    timeout =
-      (match b.deadline with
-      | Some _ -> Some (float_of_int b.timeout_ms /. 1000.)
-      | None -> None);
-    max_steps = b.max_steps;
-    max_size = b.max_size;
-  }
+let limits (b : t) =
+  { timeout = b.timeout; max_steps = b.max_steps; max_size = b.max_size }
 
 let steps_remaining b =
   Option.map (fun limit -> max 0 (limit - b.steps)) b.max_steps

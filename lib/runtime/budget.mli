@@ -25,14 +25,18 @@ val none : t
 
 val is_limited : t -> bool
 
-val sub : ?timeout:float -> t -> t
+val sub : t -> t
 (** A fresh budget for one attempt of a fallback chain: the step and size
     counters restart from zero with the same limits, but the absolute
     wall-clock deadline is shared with the parent, so retrying a request
-    never extends its total time allowance.  With [timeout] (seconds) the
-    sub-budget additionally gets a deadline of [now + timeout], clamped to
-    the parent's own deadline — the per-request wall timeout of the
-    network server. *)
+    never extends its total time allowance. *)
+
+val restart : t -> t
+(** The whole allowance again, counted from now: the same limits, the
+    step and size counters at zero, and the wall-clock deadline (when
+    there is a timeout) at [now + timeout].  Restarting an unlimited
+    budget gives an unlimited one.  Every served request runs under a
+    restart of its session's budget. *)
 
 val sub_scaled : factor:float -> t -> t
 (** Like {!sub}, but the step and size {e limits} are multiplied by

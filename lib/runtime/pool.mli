@@ -33,15 +33,6 @@ val run : t -> (int -> unit) -> unit
     index — is re-raised.  Not reentrant: at most one [run] per pool at a
     time.  Raises [Invalid_argument] after {!shutdown}. *)
 
-val on_barrier : (unit -> unit) -> unit
-(** Register a process-wide barrier hook: {!run} calls it on every
-    participating domain (the caller included) after that domain's share
-    of the work finishes — even a share that raised — and before [run]
-    returns.  This is the merge point for domain-local telemetry: the
-    telemetry library registers its histogram-shard drain here at
-    module-initialisation time.  Hooks must be cheap; exceptions they
-    raise are swallowed. *)
-
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent. *)
 

@@ -41,12 +41,7 @@ let latency_histogram = function
   | "ASSERT" | "RETRACT" -> Some h_mutate
   | _ -> None
 
-(* Per-query evaluation latency inside a BATCH: workers record into their
-   domain-local shard ([observe:false] only mutes the single-slot Obs
-   sink), and the shards merge into this registry target at the Pool
-   barrier. *)
-let batch_query_latency = "serve.batch.query.latency"
-let _ = Histogram.registered ~scale:1e9 batch_query_latency
+let h_batch_query = Histogram.registered ~scale:1e9 "serve.batch.query.latency"
 
 type access_log = {
   write : string -> unit;  (** one complete JSON line, no trailing newline *)
@@ -62,37 +57,22 @@ let clear_access_log () = access_log := None
 let access_log_error_count () = Atomic.get access_log_errors
 
 (* ------------------------------------------------------------------ *)
-(* Durability: the process's WAL, when [--data-dir] armed one.  Appends
-   ride the session's mutation hook (under the session lock); this slot
-   only serves the CHECKPOINT verb and the --checkpoint-every trigger. *)
+(* Durability: the session owns its WAL (appends happen under its lock);
+   the serve loop adds the CHECKPOINT verb and the --checkpoint-every
+   trigger on top. *)
 
-let durability : Wal.t option ref = ref None
-
-let checkpoint_now session wal =
-  Session.with_checkpoint_state session (fun ~tbox ~abox ~prepared ->
-      Wal.checkpoint wal ~tbox ~abox ~prepared)
-
-let attach_wal session wal =
-  durability := Some wal;
-  Session.set_wal_hook session
-    {
-      Session.on_mutation =
-        (fun mutation ~revision -> Wal.append wal mutation ~revision);
-      wal_rows = (fun () -> Wal.stats_rows wal);
-    }
-
-let detach_wal session =
-  durability := None;
-  Session.clear_wal_hook session
+let attach_wal = Session.attach_wal
+let detach_wal = Session.detach_wal
+let checkpoint_now = Session.checkpoint
 
 (* The --checkpoint-every trigger, after a mutation was acknowledged.  A
    failed automatic checkpoint must not fail the already-applied request:
    the WAL still holds every record, so durability is intact — count it,
    warn, and let the next trigger retry. *)
 let auto_checkpoint session =
-  match !durability with
+  match Session.wal session with
   | Some wal when Wal.due_checkpoint wal -> (
-    try ignore (checkpoint_now session wal)
+    try ignore (Session.checkpoint session wal)
     with e ->
       Obs.incr "wal.checkpoint.errors";
       Printf.eprintf "obda: automatic checkpoint failed: %s\n%!"
@@ -170,11 +150,8 @@ let exec ?budget session (req : Protocol.request) =
       Array.map (fun _ -> Option.map Budget.sub budget) work
     in
     let results = Array.make n [] in
-    let failures = Array.make n None in
-    (* Pool workers record into their domain-local shard (merged into the
-       registry at the Pool barrier); the sequential path records into the
-       registry target directly — there is no barrier to drain a shard. *)
-    let eval_one ~observe ~shard i =
+    (* evaluates query [i] and returns its latency *)
+    let eval_one ~observe i =
       let _, p = work.(i) in
       let t0 = Unix.gettimeofday () in
       results.(i) <-
@@ -182,11 +159,7 @@ let exec ?budget session (req : Protocol.request) =
          else
            Eval.answers ~observe ?budget:budgets.(i) (Prepared.rewriting p)
              abox);
-      if Histogram.recording () then
-        Histogram.record
-          (if shard then Histogram.local ~scale:1e9 batch_query_latency
-           else Histogram.registered ~scale:1e9 batch_query_latency)
-          (Unix.gettimeofday () -. t0)
+      Unix.gettimeofday () -. t0
     in
     (match Session.pool session with
     | Some pool when Pool.jobs pool > 1 && not (Fault.armed ()) ->
@@ -195,17 +168,25 @@ let exec ?budget session (req : Protocol.request) =
          fault plan forces the sequential path so activation counts stay
          deterministic. *)
       let jobs = Pool.jobs pool in
+      let outcomes = Array.make n (Ok 0.) in
       Pool.run pool (fun w ->
           let i = ref w in
           while !i < n do
-            (try eval_one ~observe:false ~shard:true !i
-             with e -> failures.(!i) <- Some e);
+            outcomes.(!i) <-
+              (try Ok (eval_one ~observe:false !i) with e -> Error e);
             i := !i + jobs
           done);
-      (* all queries ran to completion; report the first failure by batch
+      (* all queries ran to completion: record their latencies here, on
+         the calling domain, then report the first failure by batch
          position, matching the sequential path's first-error semantics *)
-      Array.iter (function Some e -> raise e | None -> ()) failures
-    | _ -> for i = 0 to n - 1 do eval_one ~observe:true ~shard:false i done);
+      Array.iter
+        (function Ok d -> Histogram.record h_batch_query d | Error _ -> ())
+        outcomes;
+      Array.iter (function Error e -> raise e | Ok _ -> ()) outcomes
+    | _ ->
+      for i = 0 to n - 1 do
+        Histogram.record h_batch_query (eval_one ~observe:true i)
+      done);
     Printf.sprintf "OK batch=%d" n
     :: List.concat
          (List.mapi
@@ -250,12 +231,12 @@ let exec ?budget session (req : Protocol.request) =
         (Session.uptime session);
     ]
   | Protocol.Checkpoint -> (
-    match !durability with
+    match Session.wal session with
     | None ->
       Error.internal
         "no durability configured (start obda serve with --data-dir)"
     | Some wal ->
-      let seq = checkpoint_now session wal in
+      let seq = Session.checkpoint session wal in
       [ Printf.sprintf "OK checkpoint seq=%d" seq ])
   | Protocol.Quit -> [ "OK bye" ]
 
@@ -359,13 +340,13 @@ let record_histograms ~verb ~lines =
 (* Execute one input line.  Returns the response lines and whether the
    loop should stop.  Every parsed request gets a process-unique id
    (carried as the [request] span attribute and in the access log), runs
-   under a fresh sub-budget of the session budget (own step/size
-   allowance, shared wall deadline) and a [service.request] span, and is
-   timed into the per-verb latency histograms; typed errors become
+   under a restart of the session budget (its whole step, size and
+   wall-clock allowance, counted from now) and a [service.request] span,
+   and is timed into the per-verb latency histograms; typed errors become
    in-protocol [ERR] lines, so a failed request — including a
    budget-exhausted one — leaves the session alive and usable.  [conn] is
    the server's connection id (0 for channel/script serving). *)
-let handle_line ?budget ?(conn = 0) session line =
+let handle_line ?(conn = 0) session line =
   match Protocol.parse line with
   | Ok None -> ([], false)
   | Error msg ->
@@ -374,11 +355,7 @@ let handle_line ?budget ?(conn = 0) session line =
   | Ok (Some req) ->
     Session.count_request session;
     let stop = req = Protocol.Quit in
-    let budget =
-      match budget with
-      | Some b -> b
-      | None -> Budget.sub (Session.budget session)
-    in
+    let budget = Budget.restart (Session.budget session) in
     let id = Atomic.fetch_and_add next_request_id 1 in
     let verb = Protocol.verb req in
     let run () =

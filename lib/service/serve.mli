@@ -29,23 +29,22 @@ val exec :
     position) fails the whole request.  Responses are byte-identical for
     any [jobs]. *)
 
-val handle_line :
-  ?budget:Obda_runtime.Budget.t ->
-  ?conn:int -> Session.t -> string -> string list * bool
+val handle_line : ?conn:int -> Session.t -> string -> string list * bool
 (** Parse and execute one input line under a [service.request] telemetry
     span (with [verb] and monotonically assigned [request] id attributes),
-    mapping errors to [ERR] lines.  The request budget defaults to a fresh
-    {!Obda_runtime.Budget.sub} of the session budget; the network server
-    passes one with a per-request wall deadline instead, plus its
-    connection id as [conn] (0 otherwise — it tags access-log lines).
-    When {!Obda_obs.Histogram.recording} is armed, the request is timed
-    into the per-verb registry histograms ([serve.answer.latency],
+    mapping errors to [ERR] lines.  The request runs under
+    {!Obda_runtime.Budget.restart} of the session budget: the session's
+    whole step, size and wall-clock allowance, counted from the request's
+    start.  The network server passes its connection id as [conn] (0
+    otherwise — it tags access-log lines).  When
+    {!Obda_obs.Histogram.recording} is armed, the request is timed into
+    the per-verb registry histograms ([serve.answer.latency],
     [serve.batch.latency], [serve.mutate.latency]) along with
     [serve.answer.count] and [serve.response.bytes]; [BATCH] additionally
-    times each query into [serve.batch.query.latency] (via per-worker
-    domain shards on the pooled path).  The boolean is [true] when the
-    loop should stop ([QUIT]).  Blank and comment lines yield no
-    response. *)
+    times each query into [serve.batch.query.latency] (recorded on the
+    calling domain, after the pool's workers finish).  The boolean is
+    [true] when the loop should stop ([QUIT]).  Blank and comment lines
+    yield no response. *)
 
 (** {1 Access log} *)
 
@@ -73,18 +72,15 @@ val access_log_error_count : unit -> int
 (** {1 Durability} *)
 
 val attach_wal : Session.t -> Wal.t -> unit
-(** Arm durability: install the session's WAL hook (every effective
-    mutation is appended — under the session lock, before its [OK] — and
-    the [server.wal.*] STATS rows appear) and register the log as the
-    target of the [CHECKPOINT] verb and the [--checkpoint-every] trigger.
-    Call {e after} restoring recovered state into the session.
-    Process-wide; last call wins. *)
+(** {!Session.attach_wal}: the session logs its mutations to the WAL, and
+    the [CHECKPOINT] verb and the [--checkpoint-every] trigger checkpoint
+    that session's state into it.  Each session has its own WAL. *)
 
 val detach_wal : Session.t -> unit
+(** {!Session.detach_wal}. *)
 
 val checkpoint_now : Session.t -> Wal.t -> int
-(** Capture the session state under its lock and write a checkpoint
-    ({!Wal.checkpoint}); returns the covered sequence number. *)
+(** {!Session.checkpoint}. *)
 
 val run :
   Session.t ->

@@ -12,7 +12,6 @@
    the request in flight, and close.  Pending-but-unserved descriptors are
    closed unserved. *)
 
-module Budget = Obda_runtime.Budget
 module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
 module Pool = Obda_runtime.Pool
@@ -29,7 +28,6 @@ type t = {
   backlog : int;
   max_inflight : int;
   idle_timeout : float option;
-  request_timeout : float option;
   stop_code : int Atomic.t; (* -1 while running; exit code once stopped *)
   m : Mutex.t;
   cv : Condition.t;
@@ -82,7 +80,7 @@ let strip_cr line =
 let stopping t = Atomic.get t.stop_code >= 0
 
 let create ?(connections = 4) ?(backlog = 16) ?max_inflight ?idle_timeout
-    ?request_timeout address session =
+    address session =
   if connections < 1 then invalid_arg "Server.create: connections < 1";
   if backlog < 1 then invalid_arg "Server.create: backlog < 1";
   if Session.jobs session <> 1 then
@@ -127,7 +125,6 @@ let create ?(connections = 4) ?(backlog = 16) ?max_inflight ?idle_timeout
     backlog;
     max_inflight;
     idle_timeout;
-    request_timeout;
     stop_code = Atomic.make (-1);
     m = Mutex.create ();
     cv = Condition.create ();
@@ -329,13 +326,10 @@ let handle_request t c line =
       Fun.protect
         ~finally:(fun () -> release t)
         (fun () ->
-          let budget =
-            Budget.sub ?timeout:t.request_timeout (Session.budget t.session)
-          in
           (* server-side request latency: execution plus the response
              write, as this connection observed it *)
           let t0 = Unix.gettimeofday () in
-          let lines, stop = Serve.handle_line ~budget ~conn:c.id t.session line in
+          let lines, stop = Serve.handle_line ~conn:c.id t.session line in
           send_lines c.fd lines;
           Histogram.record c.hist (Unix.gettimeofday () -. t0);
           stop)

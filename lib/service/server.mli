@@ -16,9 +16,10 @@
       always leave and liveness probes answer even under saturation.  A full pending-connection queue (> [backlog]) sheds the
       whole connection the same way.
     - {b Timeouts} — [idle_timeout] closes a connection that sends nothing
-      (after an [ERR class=budget resource=idle-seconds] line);
-      [request_timeout] caps each request's wall clock via
-      {!Obda_runtime.Budget.sub}'s deadline.
+      (after an [ERR class=budget resource=idle-seconds] line).  Each
+      request runs under its own restart of the session budget
+      ({!Serve.handle_line}), so the session's wall-clock allowance is
+      per request.
     - {b Graceful shutdown} — {!request_stop} is async-signal-safe (one
       atomic write): the accept loop stops accepting, requests in flight
       finish, connections close, queued-but-unserved descriptors are
@@ -39,7 +40,6 @@ val create :
   ?backlog:int ->
   ?max_inflight:int ->
   ?idle_timeout:float ->
-  ?request_timeout:float ->
   address ->
   Session.t ->
   t
@@ -47,7 +47,7 @@ val create :
     accepting).  [connections] (default 4) concurrent connection workers;
     [backlog] (default 16) bounds the accepted-but-unclaimed queue;
     [max_inflight] (default [connections]) bounds concurrently executing
-    requests; timeouts are in seconds (default: none).  [Tcp (host, 0)]
+    requests; [idle_timeout] is in seconds (default: none).  [Tcp (host, 0)]
     binds an ephemeral port — read it back with {!address}.  Raises
     [Invalid_argument] on a [jobs <> 1] session or nonsensical bounds,
     and [Unix.Unix_error] when binding fails (stale socket file, port in

@@ -21,15 +21,6 @@ module Fault = Obda_runtime.Fault
 module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 
-type wal_hook = {
-  on_mutation : Wal.mutation -> revision:int -> unit;
-      (* invoked under the session lock, BEFORE the mutation is applied:
-         a raise leaves the store untouched and surfaces as the request's
-         ERR, so acknowledged always implies logged *)
-  wal_rows : unit -> (string * string) list;
-      (* the server.wal.* STATS rows, read under the session lock *)
-}
-
 type t = {
   lock : Mutex.t;
   mutable tbox : Tbox.t option;
@@ -50,7 +41,8 @@ type t = {
   mutable frozen_span : (int * int) option;
       (* min/max ABox revision ever served through [freeze] *)
   mutable stats_hook : (unit -> (string * string) list) option;
-  mutable wal : wal_hook option;
+  mutable wal : Wal.t option;
+      (* appended to under the lock, BEFORE a mutation is applied *)
   created : float;
 }
 
@@ -112,17 +104,16 @@ let count_request t = with_lock t (fun () -> t.requests <- t.requests + 1)
 let requests t = t.requests
 
 let set_stats_hook t hook = with_lock t (fun () -> t.stats_hook <- Some hook)
-let set_wal_hook t hook = with_lock t (fun () -> t.wal <- Some hook)
-let clear_wal_hook t = with_lock t (fun () -> t.wal <- None)
+let attach_wal t wal = with_lock t (fun () -> t.wal <- Some wal)
+let detach_wal t = with_lock t (fun () -> t.wal <- None)
+let wal t = with_lock t (fun () -> t.wal)
 let uptime t = Unix.gettimeofday () -. t.created
 
 (* Log under the lock, before applying: a WAL failure leaves the store
    untouched and the request unacknowledged, so the recoverable prefix is
    exactly the acknowledged prefix. *)
 let wal_log t mutation ~revision =
-  match t.wal with
-  | Some hook -> hook.on_mutation mutation ~revision
-  | None -> ()
+  match t.wal with Some wal -> Wal.append wal mutation ~revision | None -> ()
 
 let load_ontology t tbox =
   with_lock t (fun () ->
@@ -177,11 +168,10 @@ let retract_facts t facts =
       List.iter (fun fact -> ignore (Abox.remove_fact t.abox fact)) effective;
       (removed, Abox.num_atoms t.abox))
 
-(* Checkpoint capture: hand the callback a consistent view — and run it to
-   completion — under the session lock.  WAL appends also happen under the
-   lock, so nothing can slip between the state the callback serializes and
-   the log truncation it performs. *)
-let with_checkpoint_state t f =
+(* Checkpoint capture and write, both under the session lock.  WAL appends
+   also happen under the lock, so nothing can slip between the state the
+   checkpoint serializes and the log truncation it performs. *)
+let checkpoint t wal =
   with_lock t (fun () ->
       let prepared =
         Hashtbl.fold
@@ -192,7 +182,7 @@ let with_checkpoint_state t f =
           t.prepared []
         |> List.sort compare
       in
-      f ~tbox:t.tbox ~abox:t.abox ~prepared)
+      Wal.checkpoint wal ~tbox:t.tbox ~abox:t.abox ~prepared)
 
 let assert_fact t fact = fst (assert_facts t [ fact ]) = 1
 let retract_fact t fact = fst (retract_facts t [ fact ]) = 1
@@ -297,7 +287,7 @@ let stats t =
     with_lock t (fun () ->
         let cache = t.cache in
         let wal_rows =
-          match t.wal with Some h -> h.wal_rows () | None -> []
+          match t.wal with Some wal -> Wal.stats_rows wal | None -> []
         in
         let consistency =
           match

@@ -150,42 +150,32 @@ val uptime : t -> float
 
 (** {1 Durability}
 
-    A session with a WAL hook logs every effective mutation {e before}
-    applying it, under the session lock: a hook that raises (a full disk,
-    an injected [wal.append]/[wal.sync] fault) leaves the store untouched
-    and surfaces as that request's [ERR], so a client-acknowledged
-    mutation is always a logged one. *)
+    A session with a WAL appends every effective mutation to it {e
+    before} applying it, under the session lock: an append that raises (a
+    full disk, an injected [wal.append]/[wal.sync] fault) leaves the store
+    untouched and surfaces as that request's [ERR], so a
+    client-acknowledged mutation is always a logged one.  Each session
+    logs to its own WAL only. *)
 
-type wal_hook = {
-  on_mutation : Wal.mutation -> revision:int -> unit;
-      (** called under the session lock with the effective mutation (the
-          deduplicated facts that will actually change the store; the full
-          TBox/ABox for loads) and the post-mutation revision *)
-  wal_rows : unit -> (string * string) list;
-      (** the [server.wal.*] rows appended to {!stats} (called under the
-          session lock) *)
-}
-
-val set_wal_hook : t -> wal_hook -> unit
-(** Install the durability hook.  Install it {e after} restoring
+val attach_wal : t -> Wal.t -> unit
+(** Log every later effective mutation to the WAL and add its
+    [server.wal.*] rows to {!stats}.  Attach it {e after} restoring
     recovered state into the session, or the restore would re-log its own
     replay. *)
 
-val clear_wal_hook : t -> unit
+val detach_wal : t -> unit
 
-val with_checkpoint_state :
-  t ->
-  (tbox:Obda_ontology.Tbox.t option ->
-  abox:Obda_data.Abox.t ->
-  prepared:(string * Omq.algorithm * string) list ->
-  'a) ->
-  'a
-(** Run [f] under the session lock with the live state: the TBox, the
-    ABox (not a copy — [f] must only read it) and the prepared registry
-    as (name, algorithm, query text) triples sorted by name.  This is the
-    checkpoint capture: because WAL appends also run under the lock, a
-    checkpoint written inside [f] can truncate the log with no append
-    lost in between. *)
+val wal : t -> Wal.t option
+(** The attached WAL: what the [CHECKPOINT] verb and the
+    [--checkpoint-every] trigger checkpoint. *)
+
+val checkpoint : t -> Wal.t -> int
+(** Write the session state — the TBox, the ABox and the prepared
+    registry as (name, algorithm, query text) triples — as a checkpoint of
+    the WAL ({!Wal.checkpoint}), all under the session lock, and return
+    the covered sequence number.  Because appends also run under the
+    lock, the checkpoint truncates the log with no append lost in
+    between. *)
 
 val stats : t -> (string * string) list
 (** Observable session state as ordered key/value pairs (the [STATS]

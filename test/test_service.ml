@@ -546,6 +546,35 @@ let test_serve_batch_fault_armed_forces_sequential () =
             check_int "armed plan forces the observed sequential path" 2
               sequential))
 
+(* Every query of a BATCH is timed into serve.batch.query.latency, on the
+   pooled path as on the sequential one. *)
+let test_serve_batch_query_latency () =
+  let module Histogram = Obda_obs.Histogram in
+  let prev = Histogram.recording () in
+  Histogram.set_enabled true;
+  Fun.protect ~finally:(fun () -> Histogram.set_enabled prev) @@ fun () ->
+  let count () =
+    (Histogram.snapshot
+       (Histogram.registered ~scale:1e9 "serve.batch.query.latency"))
+      .Histogram.total
+  in
+  List.iter
+    (fun jobs ->
+      let s = Session.create ~jobs () in
+      Fun.protect
+        ~finally:(fun () -> Session.close s)
+        (fun () ->
+          Session.load_ontology s (tbox ());
+          Session.load_data s (abox ());
+          ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
+          let before = count () in
+          check_str "batch answered" "OK batch=2"
+            (first (fst (Serve.handle_line s "BATCH q1 q1")));
+          check_int
+            (Printf.sprintf "jobs=%d: one latency per query" jobs)
+            (before + 2) (count ())))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots and the stats hook *)
 
@@ -579,17 +608,63 @@ let test_session_stats_hook () =
   check_str "base rows first" "requests" (fst (List.hd rows));
   check_str "hook rows last" "x.two" (fst (List.hd (List.rev rows)))
 
-let test_budget_sub_timeout () =
-  let b = Budget.create ~timeout:10. () in
-  (match Budget.wall_remaining (Budget.sub ~timeout:0.05 b) with
-  | Some r -> check "tighter request deadline wins" true (r <= 0.05 +. 1e-3)
-  | None -> Alcotest.fail "sub-budget lost the deadline");
-  (match Budget.wall_remaining (Budget.sub ~timeout:30. b) with
-  | Some r -> check "parent deadline kept when tighter" true (r <= 10.)
-  | None -> Alcotest.fail "sub-budget lost the deadline");
-  match Budget.wall_remaining (Budget.sub ~timeout:0.05 Budget.none) with
-  | Some r -> check "timeout applies to an unlimited parent" true (r <= 0.05 +. 1e-3)
-  | None -> Alcotest.fail "timeout dropped on unlimited parent"
+let test_budget_restart () =
+  let b = Budget.create ~timeout:0.2 ~max_steps:10 () in
+  for _ = 1 to 10 do
+    Budget.step b
+  done;
+  Unix.sleepf 0.1;
+  let r = Budget.restart b in
+  check_int "step counter restarts" 0 (Budget.steps_spent r);
+  check "the same limits" true (Budget.limits r = Budget.limits b);
+  check "the whole step allowance again" true
+    (Budget.steps_remaining r = Some 10);
+  (match (Budget.wall_remaining b, Budget.wall_remaining r) with
+  | Some left, Some fresh ->
+    check "the original has used part of its allowance" true (left <= 0.1);
+    check "the whole wall allowance again" true
+      (fresh > left +. 0.05 && fresh <= 0.2)
+  | _ -> Alcotest.fail "a restart lost the deadline");
+  let expired = Budget.create ~timeout:0.05 () in
+  Unix.sleepf 0.1;
+  check "the original's deadline has passed" true
+    (Budget.wall_exhausted expired);
+  check "a restart of it has time again" false
+    (Budget.wall_exhausted (Budget.restart expired));
+  let u = Budget.restart Budget.none in
+  check "an unlimited budget stays unlimited" false (Budget.is_limited u);
+  check "no deadline" true (Budget.wall_remaining u = None);
+  for _ = 1 to 5000 do
+    Budget.step u
+  done
+
+(* The facts of test/corpus/chain.data: an R-chain c0 .. c400 with A on
+   every third individual.  Under the session's ontology q(x) <- A(x)
+   answers all 401 individuals, and evaluating it takes more than the
+   1,024 budget steps between two reads of the clock. *)
+let chain_data () =
+  List.init 400 (fun i ->
+      Printf.sprintf "R(c%d,c%d)" i (i + 1)
+      :: (if i mod 3 = 0 then [ Printf.sprintf "A(c%d)" i ] else []))
+  |> List.concat |> String.concat " " |> Parse.data_of_string
+
+(* A served request's wall allowance counts from the request's start, not
+   from the session's. *)
+let test_serve_request_budget_starts_with_request () =
+  let answer_after ~timeout ~idle =
+    let s = Session.create ~budget:(Budget.create ~timeout ()) () in
+    Session.load_ontology s (tbox ());
+    Session.load_data s (chain_data ());
+    ignore (Session.prepare s ~name:"q" (cq_a ()));
+    Unix.sleepf idle;
+    first (fst (Serve.handle_line s "ANSWER q"))
+  in
+  check_str "a request after the session's allowance has passed"
+    "OK answers=401"
+    (answer_after ~timeout:0.2 ~idle:0.3);
+  check "a zero allowance still binds each request" true
+    (String.starts_with ~prefix:"ERR class=budget resource=wall-clock-ms"
+       (answer_after ~timeout:0. ~idle:0.))
 
 (* Property: every answer set observed by a reader racing the writers
    equals the sequential evaluation at SOME revision the writer actually
@@ -996,11 +1071,15 @@ let suites =
         Alcotest.test_case "serve: BATCH errors" `Quick test_serve_batch_errors;
         Alcotest.test_case "serve: BATCH under an armed fault plan" `Quick
           test_serve_batch_fault_armed_forces_sequential;
+        Alcotest.test_case "serve: BATCH times every query" `Quick
+          test_serve_batch_query_latency;
         Alcotest.test_case "session: freeze isolation" `Quick
           test_session_freeze_isolation;
         Alcotest.test_case "session: stats hook" `Quick test_session_stats_hook;
-        Alcotest.test_case "budget: per-request sub-deadline" `Quick
-          test_budget_sub_timeout;
+        Alcotest.test_case "budget: a restart renews the allowance" `Quick
+          test_budget_restart;
+        Alcotest.test_case "serve: each request's wall allowance is its own"
+          `Quick test_serve_request_budget_starts_with_request;
         Alcotest.test_case "race: readers vs writers (snapshot property)"
           `Quick test_race_readers_vs_writers;
         Alcotest.test_case "server: end to end over a socket" `Quick

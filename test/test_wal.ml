@@ -610,6 +610,84 @@ let test_checkpoint_every_trigger () =
             (facts_key (Session.abox session))
             (facts_key r.Wal.abox)))
 
+(* Two durable sessions in one process each log to, and checkpoint into,
+   their own WAL only. *)
+let test_two_durable_sessions () =
+  with_temp_dir (fun dir_a ->
+      with_temp_dir (fun dir_b ->
+          let a = Session.create () and b = Session.create () in
+          let wal_a, _ = Wal.open_ ~checkpoint_every:1 dir_a in
+          let wal_b, _ = Wal.open_ dir_b in
+          Serve.attach_wal a wal_a;
+          Serve.attach_wal b wal_b;
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter
+                (fun (s, wal) ->
+                  Serve.detach_wal s;
+                  Wal.close wal;
+                  Session.close s)
+                [ (a, wal_a); (b, wal_b) ])
+            (fun () ->
+              let exec s line = ok_first (fst (Serve.handle_line s line)) in
+              check "A asserts" true
+                (String.starts_with ~prefix:"OK asserted"
+                   (exec a "ASSERT A(a1)"));
+              (* A's own --checkpoint-every 1, with B attached after A *)
+              check "A's trigger wrote A's checkpoint" true
+                (Array.exists
+                   (String.starts_with ~prefix:"checkpoint.")
+                   (Sys.readdir dir_a));
+              check_int "A's log truncated" 0
+                (Unix.stat (wal_path dir_a)).Unix.st_size;
+              List.iter
+                (fun line ->
+                  check ("B: " ^ line) true
+                    (String.starts_with ~prefix:"OK asserted" (exec b line)))
+                [ "ASSERT A(b1)"; "ASSERT A(b2)" ];
+              check "CHECKPOINT on A" true
+                (String.starts_with ~prefix:"OK checkpoint seq="
+                   (exec a "CHECKPOINT"));
+              check_str "B's directory recovers exactly B's facts"
+                (facts_key (Abox.of_facts [ fa "b1"; fa "b2" ]))
+                (facts_key (Wal.recover dir_b).Wal.abox);
+              check_str "A's directory recovers exactly A's facts"
+                (facts_key (Abox.of_facts [ fa "a1" ]))
+                (facts_key (Wal.recover dir_a).Wal.abox))))
+
+(* METRICS types the WAL's monotone rows as counters, so a rate over them
+   reads right; the sequence number and the replay count stay gauges. *)
+let test_metrics_types_wal_rows () =
+  with_temp_dir (fun dir ->
+      let session = Session.create () in
+      let wal, _ = Wal.open_ dir in
+      Serve.attach_wal session wal;
+      Fun.protect
+        ~finally:(fun () ->
+          Serve.detach_wal session;
+          Wal.close wal;
+          Session.close session)
+        (fun () ->
+          ignore (Serve.handle_line session "ASSERT A(a)");
+          let types =
+            List.filter_map
+              (fun line ->
+                match String.split_on_char ' ' line with
+                | [ "#"; "TYPE"; name; kind ] -> Some (name, kind)
+                | _ -> None)
+              (fst (Serve.handle_line session "METRICS"))
+          in
+          List.iter
+            (fun (row, kind) ->
+              let name = "obda_server_wal_" ^ row in
+              check_str name kind
+                (Option.value ~default:"missing" (List.assoc_opt name types)))
+            [
+              ("appended", "counter"); ("bytes", "counter");
+              ("syncs", "counter"); ("checkpoints", "counter");
+              ("seq", "gauge"); ("replayed", "gauge");
+            ]))
+
 let suites =
   [
     ( "wal",
@@ -653,5 +731,9 @@ let suites =
           test_interval_and_never_policies;
         Alcotest.test_case "--checkpoint-every trigger" `Quick
           test_checkpoint_every_trigger;
+        Alcotest.test_case "two durable sessions keep their own logs" `Quick
+          test_two_durable_sessions;
+        Alcotest.test_case "METRICS types the WAL counters" `Quick
+          test_metrics_types_wal_rows;
       ] );
   ]
