@@ -85,7 +85,6 @@ type t = {
   mutable rows : int array;
   mutable indexes : index list;
   mutable index_builds : int;
-  mutable sorted_view : Symbol.t list list option;
 }
 
 let create arity =
@@ -96,7 +95,6 @@ let create arity =
     rows = empty_slots 16;
     indexes = [];
     index_builds = 0;
-    sorted_view = None;
   }
 
 let copy_index ix =
@@ -217,7 +215,6 @@ let add_hashed r src off h =
     r.size <- id + 1;
     if 2 * r.size > Array.length rows then r.rows <- grow_slots rows;
     index_all data arity id r.indexes;
-    r.sorted_view <- None;
     true
   end
 
@@ -254,7 +251,6 @@ let remove r src off =
       Array.blit data (last * arity) data (id * arity) arity
     end;
     r.size <- last;
-    r.sorted_view <- None;
     true
   end
 
@@ -326,11 +322,4 @@ let decode r id =
   List.init r.arity (fun k -> Symbol.unsafe_of_int r.data.((id * r.arity) + k))
 
 let tuples r =
-  match r.sorted_view with
-  | Some view -> view
-  | None ->
-    let view =
-      Array.fold_right (fun id acc -> decode r id :: acc) (sorted_ids r) []
-    in
-    r.sorted_view <- Some view;
-    view
+  Array.fold_right (fun id acc -> decode r id :: acc) (sorted_ids r) []

@@ -41,8 +41,6 @@ type t = private {
   mutable index_builds : int;
       (** full-scan index constructions: one per registered position list,
           since adds and removes maintain them in place *)
-  mutable sorted_view : Symbol.t list list option;
-      (** memoised {!tuples}, dropped on every write *)
 }
 
 val create : int -> t
@@ -101,5 +99,5 @@ val sorted_ids : t -> int array
 (** Row ids in lexicographic order of their values. *)
 
 val tuples : t -> Symbol.t list list
-(** The rows as symbol tuples, in the order of {!sorted_ids}, memoised
-    until the next write. *)
+(** The rows as symbol tuples, in the order of {!sorted_ids}.  Reading
+    writes nothing, so readers on other domains may share the relation. *)

@@ -81,7 +81,7 @@ let materialise rules src =
             | [ c; d ] -> Abox.add_binary abox p c d
             | _ -> assert false)
           (Obda_data.Relation.tuples rel))
-      result.Eval.idb_relations;
+      (Lazy.force result.Eval.idb_relations);
     abox
 
 let unfold rules (q : Ndl.query) =

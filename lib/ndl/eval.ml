@@ -139,14 +139,14 @@ type result = {
   answers : Symbol.t list list;
   generated_tuples : int;
   tuples_read : int;
-  idb_relations : Relation.t Symbol.Map.t;
+  idb_relations : Relation.t Symbol.Map.t Lazy.t;
 }
 
 type env = {
   relations : Relation.t Symbol.Tbl.t;
       (* IDB, external EDB, and the ABox's relations read in place: never
-         indexed, memoised or written here, since snapshots are read from
-         many domains at once *)
+         indexed or written here, since snapshots are read from many
+         domains at once *)
   abox : Abox.t;
   external_edb : Symbol.t -> int -> Symbol.t list list option;
   domain : int array Lazy.t;
@@ -559,10 +559,56 @@ let eval_batch env ?(count_derived = true) pool targets assignments =
    whole compiled program across runs of the same query value: [Prepared]
    queries replan only when the store size drifts past a threshold. *)
 
+(* A renaming clause [p(a_π) <- s(a)]: one body atom over distinct
+   variables, and a head that permutes them.  [perm.(j)] is the head
+   position of the body's [j]th variable, so [p(t)] holds exactly when
+   [s(u)] does, with [u_j = t_(perm j)]. *)
+type renaming = {
+  src : Symbol.t;
+  arity : int;
+  perm : int array;
+  identity : bool;  (* [perm.(j) = j] for every [j]: [p] holds [s]'s rows *)
+}
+
+let renaming_of (c : Ndl.clause) =
+  let vars ts =
+    List.filter_map (function Ndl.Var v -> Some v | Ndl.Cst _ -> None) ts
+  in
+  match c.body with
+  | [ Ndl.Pred (src, ts) ] ->
+    let body = vars ts and head = Array.of_list (vars (snd c.head)) in
+    let arity = List.length ts in
+    if
+      List.length body = arity
+      && List.length (List.sort_uniq String.compare body) = arity
+      && List.length (snd c.head) = arity
+      && List.sort String.compare (Array.to_list head)
+         = List.sort String.compare body
+    then
+      let rec position v i = if head.(i) = v then i else position v (i + 1) in
+      let perm = Array.of_list (List.map (fun v -> position v 0) body) in
+      let rec identity j = j = arity || (perm.(j) = j && identity (j + 1)) in
+      Some { src; arity; perm; identity = identity 0 }
+    else None
+  | _ -> None
+
+(* A non-recursive, non-goal IDB predicate defined by one renaming: it has
+   no relation, and every atom over it is compiled as the permuted atom
+   over [vrenaming.src], the first predicate down the chain of views that
+   is not one. *)
+type cview = {
+  vclause : Ndl.clause;  (* its clause, the body atom resolved to the source *)
+  vrenaming : renaming;
+}
+
 type cstraight = {
   spred : Symbol.t;
   sarity : int;
   sclauses : Ndl.clause list;
+  srenamings : (Ndl.clause * renaming) list option;
+      (* [Some] when every clause is a renaming (planned engine only): a run
+         where exactly one source is non-empty and renamed by the identity
+         shares that source's relation instead of copying it *)
   mutable sccs : compiled list option;
 }
 
@@ -576,7 +622,7 @@ type cfixpoint = {
   mutable fvariants : (int * compiled) list option;
 }
 
-type cstratum = CStraight of cstraight | CFixpoint of cfixpoint
+type cstratum = CStraight of cstraight | CFixpoint of cfixpoint | CView of cview
 
 type cached = {
   cfor : Ndl.query;  (* physical identity of the planned query *)
@@ -621,8 +667,36 @@ let skeleton ~naive ~atoms (q : Ndl.query) =
       in
       Symbol.Tbl.replace by_head (fst c.head) (c :: cur))
     q.clauses;
+  (* the views found so far; strata come dependencies first, so a clause
+     meets only views already found *)
+  let views = Symbol.Tbl.create 16 in
+  let through_views = function
+    | Ndl.Pred (p, ts) as a -> (
+      match Symbol.Tbl.find_opt views p with
+      | None -> a
+      | Some rn ->
+        let n = List.length ts in
+        if n <> rn.arity then
+          Error.parse_error ~line:0 "relation %a is used with arities %d and %d"
+            Symbol.pp p rn.arity n;
+        let ts = Array.of_list ts in
+        Ndl.Pred (rn.src, List.init n (fun j -> ts.(rn.perm.(j)))))
+    | (Ndl.Eq _ | Ndl.Dom _) as a -> a
+  in
   let clauses_of p =
-    List.rev (Option.value ~default:[] (Symbol.Tbl.find_opt by_head p))
+    List.rev_map
+      (fun (c : Ndl.clause) -> { c with body = List.map through_views c.body })
+      (Option.value ~default:[] (Symbol.Tbl.find_opt by_head p))
+  in
+  let renamings clauses =
+    if naive then None
+    else
+      List.fold_right
+        (fun c acc ->
+          match (renaming_of c, acc) with
+          | Some rn, Some l -> Some ((c, rn) :: l)
+          | _ -> None)
+        clauses (Some [])
   in
   let arity_of = function
     | (c : Ndl.clause) :: _ -> List.length (snd c.head)
@@ -632,10 +706,21 @@ let skeleton ~naive ~atoms (q : Ndl.query) =
     List.map
       (fun (preds, recursive) ->
         match (preds, recursive) with
-        | [ p ], false ->
+        | [ p ], false -> (
           let clauses = clauses_of p in
-          CStraight
-            { spred = p; sarity = arity_of clauses; sclauses = clauses; sccs = None }
+          match renamings clauses with
+          | Some [ (c, rn) ] when not (Symbol.equal p q.goal) ->
+            Symbol.Tbl.replace views p rn;
+            CView { vclause = c; vrenaming = rn }
+          | srenamings ->
+            CStraight
+              {
+                spred = p;
+                sarity = arity_of clauses;
+                sclauses = clauses;
+                srenamings;
+                sccs = None;
+              })
         | preds, _ ->
           let scc = Symbol.Set.of_list preds in
           let fpreds =
@@ -709,24 +794,58 @@ let round_marker env =
     Obs.incr "eval.rounds"
   end
 
+let explain_renaming env (c : Ndl.clause) how =
+  match env.explain with
+  | Some f -> f (Format.asprintf "%a  %s" Ndl.pp_clause c how)
+  | None -> ()
+
+(* A view reads its source in place; it is charged the tuples a copy would
+   hold, once the source is complete. *)
+let eval_view env (v : cview) =
+  let r = get_relation env v.vrenaming.src ~arity:v.vrenaming.arity in
+  explain_renaming env v.vclause "view";
+  Budget.charge env.budget r.size
+
+(* The relation a renaming stratum shares: its one non-empty source's,
+   when the identity renames it. *)
+let shared_source env renamings =
+  let live =
+    List.filter_map
+      (fun (c, rn) ->
+        let r = get_relation env rn.src ~arity:rn.arity in
+        if r.Relation.size > 0 then Some (c, rn, r) else None)
+      renamings
+  in
+  match live with [ (c, rn, r) ] when rn.identity -> Some (c, r) | _ -> None
+
+(* Whether the stratum shared a source's relation instead of deriving. *)
 let eval_straight env pool ~naive (st : cstraight) =
   round_marker env;
-  let target = Relation.create st.sarity in
-  (* register first so in-stratum references resolve to the (empty) target *)
-  Symbol.Tbl.replace env.relations st.spred target;
-  let ccs =
-    match st.sccs with
-    | Some ccs -> ccs
-    | None ->
-      let ccs =
-        List.map
-          (compile_and_plan env ~naive ~transient:Symbol.Set.empty)
-          st.sclauses
-      in
-      st.sccs <- Some ccs;
-      ccs
-  in
-  eval_batch env pool [| target |] (List.map (fun cc -> (0, cc)) ccs)
+  match Option.bind st.srenamings (shared_source env) with
+  | Some (c, r) ->
+    Symbol.Tbl.replace env.relations st.spred r;
+    explain_renaming env c "shared";
+    Budget.charge env.budget r.size;
+    true
+  | None ->
+    let target = Relation.create st.sarity in
+    (* register first so in-stratum references resolve to the (empty)
+       target *)
+    Symbol.Tbl.replace env.relations st.spred target;
+    let ccs =
+      match st.sccs with
+      | Some ccs -> ccs
+      | None ->
+        let ccs =
+          List.map
+            (compile_and_plan env ~naive ~transient:Symbol.Set.empty)
+            st.sclauses
+        in
+        st.sccs <- Some ccs;
+        ccs
+    in
+    eval_batch env pool [| target |] (List.map (fun cc -> (0, cc)) ccs);
+    false
 
 (* Semi-naïve fixpoint for a recursive stratum (naïve re-derivation when
    [naive]).  Derivation happens into per-round accumulators under an
@@ -850,7 +969,8 @@ let plan_gauges cstrata =
         List.iter (fun (_, cc) -> note cc) (Option.value ~default:[] fx.fbase);
         List.iter
           (fun (_, cc) -> note cc)
-          (Option.value ~default:[] fx.fvariants))
+          (Option.value ~default:[] fx.fvariants)
+      | CView _ -> ())
     cstrata;
   Obs.set_int "eval.plan.index_probes" !index_probes;
   Obs.set_int "eval.plan.hash_joins" !hash_joins;
@@ -897,30 +1017,63 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
     | `Replan -> Obs.incr "eval.plan.replans"
     | `Fresh | `Uncached -> ()
   end;
+  let renamed = ref 0 in
   Array.iter
     (function
-      | CStraight st -> eval_straight env pool ~naive st
-      | CFixpoint fx -> eval_fixpoint env pool ~naive fx)
+      | CStraight st -> if eval_straight env pool ~naive st then incr renamed
+      | CFixpoint fx -> eval_fixpoint env pool ~naive fx
+      | CView v ->
+        eval_view env v;
+        incr renamed)
     program.cstrata;
-  let idb_relations =
+  let views =
+    Array.fold_left
+      (fun acc -> function CView v -> v :: acc | CStraight _ | CFixpoint _ -> acc)
+      [] program.cstrata
+  in
+  let source v = Symbol.Tbl.find env.relations v.vrenaming.src in
+  (* a view counts as the relation it renames: the tuples it holds *)
+  let generated_tuples =
     Symbol.Set.fold
       (fun p acc ->
         match Symbol.Tbl.find_opt env.relations p with
-        | Some r -> Symbol.Map.add p r acc
+        | Some r -> acc + r.size
         | None -> acc)
-      idb Symbol.Map.empty
-  in
-  let generated_tuples =
-    Symbol.Map.fold (fun _ (r : Relation.t) acc -> acc + r.size) idb_relations 0
+      idb 0
+    + List.fold_left (fun acc v -> acc + (source v).size) 0 views
   in
   let answers =
-    match Symbol.Map.find_opt q.goal idb_relations with
-    | Some r -> Relation.tuples r
-    | None -> []
+    match Symbol.Tbl.find_opt env.relations q.goal with
+    | Some r when Symbol.Set.mem q.goal idb -> Relation.tuples r
+    | Some _ | None -> []
+  in
+  let idb_relations =
+    lazy
+      (let permuted v =
+         let src = source v and rn = v.vrenaming in
+         let r = Relation.create rn.arity and row = Array.make rn.arity 0 in
+         for id = 0 to src.size - 1 do
+           for j = 0 to rn.arity - 1 do
+             row.(rn.perm.(j)) <- src.data.((id * rn.arity) + j)
+           done;
+           ignore (Relation.add r row 0)
+         done;
+         r
+       in
+       List.fold_left
+         (fun acc v -> Symbol.Map.add (fst v.vclause.head) (permuted v) acc)
+         (Symbol.Set.fold
+            (fun p acc ->
+              match Symbol.Tbl.find_opt env.relations p with
+              | Some r -> Symbol.Map.add p r acc
+              | None -> acc)
+            idb Symbol.Map.empty)
+         views)
   in
   if observe && Obs.enabled () then begin
     Obs.set_int "eval.answers" (List.length answers);
     Obs.set_int "eval.generated_tuples" generated_tuples;
+    Obs.set_int "eval.views" !renamed;
     Obs.count "eval.tuples_read" env.reads;
     plan_gauges program.cstrata;
     (match pool with

@@ -23,18 +23,42 @@
     [[0]] and [[1]] indexes to answer every other EDB probe.  The matcher
     compiles each plan step's checks and bindings once, from the plan's
     static bound set, and reads, probes and adds rows in place, allocating
-    per row only when a buffer grows. *)
+    per row only when a buffer grows.
+
+    {b Renamings.}  A clause [p(a_π) <- s(a)] — one body atom over
+    distinct variables, a head that permutes them — only renames [s]'s
+    columns, and the planned engine does not copy it.  A {e view} is a
+    non-recursive IDB predicate other than the goal whose only clause is a
+    renaming: it gets no relation, and every atom over it is compiled as
+    the permuted atom over its source (chains of views compose), so plans,
+    probes and planner statistics see the source.  Views are found once
+    per program and kept by the {!plan_cache}.  A {e shared} stratum is
+    decided per run: when every clause of a non-recursive stratum is a
+    renaming and exactly one of their sources is non-empty as it runs,
+    renamed by the identity, the stratum's relation is that source's
+    relation.  Either way the predicate holds exactly the tuples a copy
+    would, is counted in [generated_tuples] at its source's size and
+    charged that much to the budget ({!Obda_runtime.Budget.charge}), and
+    is never written: a shared ABox relation stays as unindexed and
+    unwritten as every other.  [naive] copies every renaming, as the
+    reference engine always has. *)
 
 open Obda_syntax
 open Obda_data
 
 type result = {
   answers : Symbol.t list list;  (** tuples of the goal relation, sorted *)
-  generated_tuples : int;  (** Σ sizes of all materialised IDB relations *)
+  generated_tuples : int;
+      (** Σ sizes of all IDB relations, as if every one were materialised:
+          a view counts as the relation it renames *)
   tuples_read : int;
       (** tuples delivered from relation storage and domain sweeps;
           identical at every worker count *)
-  idb_relations : Relation.t Symbol.Map.t;
+  idb_relations : Relation.t Symbol.Map.t Lazy.t;
+      (** every IDB predicate's relation, to read, built when forced: a
+          view is then copied with its columns permuted, and a shared
+          stratum is the relation it shares, an ABox relation included.
+          No answer path forces it. *)
 }
 
 type plan_cache
@@ -60,9 +84,9 @@ val run :
   ?extra_domain:Symbol.t list ->
   ?explain:(string -> unit) ->
   Ndl.query -> Abox.t -> result
-(** [plan] caches the compiled program (clause order, per-atom strategies,
-    the fixpoint's delta variants) across runs; without it every run plans
-    afresh.  [naive = true] selects the legacy baseline: written-order
+(** [plan] caches the compiled program (the views, clause order, per-atom
+    strategies, the fixpoint's delta variants) across runs; without it
+    every run plans afresh.  [naive = true] selects the legacy baseline: written-order
     heuristic, maintained-index probes only, and a naïve fixpoint that
     re-derives every recursive clause from the full relations each round —
     the reference the differential tests and the [eval-plan] bench compare
@@ -72,7 +96,9 @@ val run :
     strategy, cardinality estimates) as plans are computed, so the lines
     describe this run: later strata are planned against the true sizes of
     the relations earlier ones materialised.  A cached run computes no
-    plans and emits nothing.
+    plans and emits no plan lines.  Each view and each shared stratum of
+    the run gets a line too, its clause followed by [  view] or
+    [  shared]: [Gtw4(x1,x0) <- R*(x0,x1)  view].
 
     [pool] enables the parallel driver: for every stratum of [Ndl.strata]
     — and every round of a recursive stratum's fixpoint — clause bodies
@@ -95,7 +121,8 @@ val run :
 
     [budget] is checked on every matcher step (a budget step per visited
     search node, with the wall clock consulted every 1024 steps, and a
-    size unit per materialised tuple); exhaustion raises
+    size unit per materialised tuple; a view or shared stratum is charged
+    its source's size in both at once); exhaustion raises
     [Obda_runtime.Error.Obda_error (Budget_exhausted _)].
 
     [edb] supplies tuples for extensional predicates not stored in the ABox

@@ -92,6 +92,17 @@ let grow ?(by = 1) b =
   | Some limit -> if b.size > limit then exhausted Error.Size b.size limit
   | None -> ()
 
+let charge b n =
+  let before = b.steps in
+  b.steps <- before + n;
+  (match b.max_steps with
+  | Some limit -> if b.steps > limit then exhausted Error.Steps b.steps limit
+  | None -> ());
+  grow ~by:n b;
+  (* [before lor mask] is the last count short of the next multiple of
+     [mask + 1]: passing it is what {!step} would have checked on *)
+  if b.steps > before lor mask then check_deadline b
+
 let steps_spent b = b.steps
 let size_spent b = b.size
 

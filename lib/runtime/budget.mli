@@ -67,6 +67,13 @@ val grow : ?by:int -> t -> unit
 (** Count [by] (default 1) units of output; raises [Budget_exhausted] when
     the output-size cap is exceeded. *)
 
+val charge : t -> int -> unit
+(** [charge b n] counts [n] steps and [n] units of output at once, for work
+    done in bulk (the engine answering a renaming from the relation it
+    renames instead of copying it row by row): raises [Budget_exhausted]
+    when the step or the size cap is exceeded, and consults the wall clock
+    whenever the step count passes a multiple of 1024, as {!step} does. *)
+
 val check_deadline : t -> unit
 (** Consult the wall clock immediately (for coarse-grained loops whose
     iterations are individually expensive). *)

@@ -7,10 +7,18 @@ module Skinny = Obda_ndl.Skinny
 module Optimize = Obda_ndl.Optimize
 module Relation = Obda_data.Relation
 module Abox = Obda_data.Abox
+module Obs = Obda_obs.Obs
 open Helpers
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_str = Alcotest.(check string)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let v x = Ndl.Var x
 let p name ts = Ndl.Pred (sym name, ts)
 
@@ -410,7 +418,7 @@ let test_recursive_fixpoint () =
      full-scan build per position list, maintained incrementally as the
      fixpoint grows the relation *)
   let r = Eval.run tc a in
-  let trel = Symbol.Map.find (sym "T") r.Eval.idb_relations in
+  let trel = Symbol.Map.find (sym "T") (Lazy.force r.Eval.idb_relations) in
   check_int "one index build per position list on the full relation"
     (List.length trel.Relation.indexes)
     trel.index_builds;
@@ -615,8 +623,7 @@ let rel_lookup r positions key =
 
 (* The relation-internals contract behind evaluator rounds: one full-scan
    index build per position list (later additions maintain it in place and
-   lookups reuse it), and a sorted tuple view that is memoised until the
-   next mutation. *)
+   lookups reuse it). *)
 let test_relation_index_reuse () =
   let s = Symbol.intern in
   let r = Relation.create 2 in
@@ -641,26 +648,6 @@ let test_relation_index_reuse () =
   check_int "second position list builds once more" 2 r.index_builds;
   check_int "whole-row lookup" 1 (List.length (rel_lookup r [ 0; 1 ] [ s "a"; s "d" ]));
   check_int "whole-row lookup builds nothing" 2 r.index_builds
-
-let test_relation_sorted_view_memoised () =
-  let s = Symbol.intern in
-  let r = Relation.create 1 in
-  let names ts = List.sort compare (List.map (List.map Symbol.name) ts) in
-  ignore (rel_add r [ s "v2" ]);
-  ignore (rel_add r [ s "v1" ]);
-  check "no view before first read" false (r.sorted_view <> None);
-  let v1 = Relation.tuples r in
-  Alcotest.(check (list (list string)))
-    "view contents" [ [ "v1" ]; [ "v2" ] ] (names v1);
-  check "view memoised after read" true (r.sorted_view <> None);
-  let v2 = Relation.tuples r in
-  check "repeat read returns the memoised list" true (v1 == v2);
-  ignore (rel_add r [ s "v0" ]);
-  check "mutation invalidates the view" false (r.sorted_view <> None);
-  Alcotest.(check (list (list string)))
-    "fresh view after mutation"
-    [ [ "v0" ]; [ "v1" ]; [ "v2" ] ]
-    (names (Relation.tuples r))
 
 (* The flat relation storage against a reference set model, per arity
    0–3: thousands of adds with duplicates and removals of present and
@@ -786,9 +773,13 @@ let test_predicate_at_two_arities () =
   check_int "two atoms" 2 (Abox.num_atoms a)
 
 (* [Eval.run] reads the ABox's relations in place and must leave them as
-   it found them — no index registered, no view memoised — on every path:
+   it found them — no index registered, no row written — on every path:
    planned and naive, sequential and parallel, with probes on one position
-   of a binary relation, on every position, and on a unary relation. *)
+   of a binary relation, on every position, and on a unary relation.  The
+   second program renames ABox predicates: its goal is an identity
+   renaming of a view of R, so the planned engine answers from R's own
+   relation, and a two-clause stratum shares S (its other source is
+   empty) before a join probes both through a view. *)
 let test_eval_leaves_abox_relations () =
   let n = 40 in
   let c i = Printf.sprintf "c%d" (i mod n) in
@@ -822,27 +813,120 @@ let test_eval_leaves_abox_relations () =
         let r = Option.get (Abox.relation a (sym pred) ~arity) in
         ( List.map (fun (ix : Relation.index) -> Array.to_list ix.positions) r.indexes,
           r.index_builds,
-          r.sorted_view <> None,
           r.size ))
       [ ("R", 2); ("S", 2); ("A", 1) ]
   in
+  let renamings =
+    Ndl.make ~goal:(sym "Gren") ~goal_args:[ "x"; "y" ]
+      [
+        { Ndl.head = (sym "Iren", [ v "x"; v "y" ]); body = [ p "R" [ v "x"; v "y" ] ] };
+        { Ndl.head = (sym "Gren", [ v "x"; v "y" ]); body = [ p "Iren" [ v "x"; v "y" ] ] };
+        { Ndl.head = (sym "Sren", [ v "x"; v "y" ]); body = [ p "S" [ v "x"; v "y" ] ] };
+        { Ndl.head = (sym "Sren", [ v "x"; v "y" ]); body = [ p "Eren" [ v "x"; v "y" ] ] };
+        {
+          Ndl.head = (sym "Jren", [ v "x" ]);
+          body = [ p "Sren" [ v "x"; v "y" ]; p "Iren" [ v "y"; v "z" ]; p "A" [ v "z" ] ];
+        };
+      ]
+  in
   let before = state () in
-  let expected = show_tuples (Eval.answers q a) in
-  Alcotest.(check (list (list string)))
-    "naive agrees" expected
-    (show_tuples (Eval.run ~naive:true q a).Eval.answers);
-  Obda_runtime.Pool.with_pool ~jobs:2 (fun pool ->
+  List.iter
+    (fun q ->
+      let planned = Eval.run q a in
+      let expected = show_tuples planned.Eval.answers in
+      let naive = Eval.run ~naive:true q a in
       Alcotest.(check (list (list string)))
-        "two workers agree" expected
-        (show_tuples (Eval.answers ~pool q a)));
-  check "the query answers" true (expected <> []);
-  check "index lists, build counts, views and sizes untouched" true
+        "naive agrees" expected (show_tuples naive.Eval.answers);
+      check_int "naive counts the same tuples" naive.Eval.generated_tuples
+        planned.Eval.generated_tuples;
+      Obda_runtime.Pool.with_pool ~jobs:2 (fun pool ->
+          Alcotest.(check (list (list string)))
+            "two workers agree" expected
+            (show_tuples (Eval.answers ~pool q a)));
+      (* forcing and reading the relations handed out, shared ones
+         included, changes nothing either *)
+      Symbol.Map.iter
+        (fun _ r -> ignore (Relation.tuples r))
+        (Lazy.force planned.Eval.idb_relations);
+      check "the query answers" true (expected <> []))
+    [ q; renamings ];
+  let lines = ref [] in
+  let r = Eval.run ~explain:(fun l -> lines := l :: !lines) renamings a in
+  check_int "the renamed goal holds R" n (List.length r.Eval.answers);
+  check "the goal and Sren share the ABox's R and S" true
+    (List.mem "Gren(x,y) <- R(x,y)  shared" !lines
+    && List.mem "Sren(x,y) <- S(x,y)  shared" !lines);
+  check "index lists, build counts and sizes untouched" true
     (before = state ());
   check "binary relations keep exactly [0] and [1]" true
     (match before with
-    | (r, 2, _, _) :: (s, 2, _, _) :: _ ->
+    | (r, 2, _) :: (s, 2, _) :: _ ->
       List.sort compare r = [ [ 0 ]; [ 1 ] ] && List.sort compare s = [ [ 0 ]; [ 1 ] ]
     | _ -> false)
+
+(* Renamings answered in place: [--explain] names each view and shared
+   stratum, the clause that reads a view reads its source with the columns
+   permuted, and the run answers and counts what the copying reference
+   engine does. *)
+let test_renamings_in_place () =
+  let q =
+    Ndl.make ~goal:(sym "Gvw") ~goal_args:[ "x" ]
+      [
+        { Ndl.head = (sym "R*", [ v "x"; v "y" ]); body = [ p "R" [ v "x"; v "y" ] ] };
+        { Ndl.head = (sym "R*", [ v "x"; v "y" ]); body = [ p "P" [ v "x"; v "y" ] ] };
+        {
+          Ndl.head = (sym "Vvw", [ v "x1"; v "x0" ]);
+          body = [ p "R*" [ v "x0"; v "x1" ] ];
+        };
+        { Ndl.head = (sym "Gvw", [ v "x" ]); body = [ p "Vvw" [ v "x"; v "y" ]; p "A" [ v "y" ] ] };
+      ]
+  in
+  let a =
+    abox_of_facts
+      [ `B ("R", "v1", "v2"); `B ("R", "v2", "v3"); `B ("R", "v3", "v1"); `U ("A", "v1") ]
+  in
+  let explain ?naive a =
+    let lines = ref [] in
+    let r = Eval.run ?naive ~explain:(fun l -> lines := l :: !lines) q a in
+    (r, List.rev !lines)
+  in
+  let planned, lines = explain a in
+  (match lines with
+  | [ shared; view; goal ] ->
+    check_str "the one live source is shared" "R*(x,y) <- R(x,y)  shared" shared;
+    check_str "the view" "Vvw(x1,x0) <- R*(x0,x1)  view" view;
+    check "the goal reads the view's source, permuted" true
+      (String.starts_with ~prefix:"Gvw(x) <- " goal
+      && contains goal "R*(y,x)" && not (contains goal "Vvw"))
+  | lines -> Alcotest.fail ("unexpected explain lines: " ^ String.concat " | " lines));
+  let naive, naive_lines = explain ~naive:true a in
+  check "the reference engine copies every renaming" true
+    (List.for_all (fun l -> not (contains l "  view" || contains l "  shared")) naive_lines);
+  Alcotest.(check (list (list string)))
+    "answers" [ [ "v2" ] ] (show_tuples planned.Eval.answers);
+  Alcotest.(check (list (list string)))
+    "naive answers" (show_tuples naive.Eval.answers) (show_tuples planned.Eval.answers);
+  (* R* = 3, Vvw = 3, Gvw = 1 *)
+  check_int "generated tuples" 7 planned.Eval.generated_tuples;
+  check_int "naive generated tuples" 7 naive.Eval.generated_tuples;
+  let vw = Symbol.Map.find (sym "Vvw") (Lazy.force planned.Eval.idb_relations) in
+  Alcotest.(check (list (list string)))
+    "a forced view holds the permuted rows"
+    [ [ "v1"; "v3" ]; [ "v2"; "v1" ]; [ "v3"; "v2" ] ]
+    (List.sort compare (show_tuples (Relation.tuples vw)));
+  let _, c = Obs.collecting (fun () -> Eval.run q a) in
+  Alcotest.(check (option int))
+    "eval.views counts the view and the shared stratum" (Some 2)
+    (Obs.Collector.gauge_int c "eval.views");
+  (* a second live source means a union: the stratum is copied *)
+  let a' = Abox.copy a in
+  Abox.add_binary a' (sym "P") (sym "v1") (sym "v1");
+  let r, lines = explain a' in
+  check "two live sources: no sharing" true
+    (not (List.exists (fun l -> contains l "  shared") lines));
+  (* R* = 4, Vvw = 4, Gvw = 2 *)
+  check_int "generated tuples with both sources" 10 r.Eval.generated_tuples;
+  check_int "naive agrees" 10 (Eval.run ~naive:true q a').Eval.generated_tuples
 
 let suites =
   [
@@ -881,10 +965,10 @@ let suites =
           test_relation_index_reuse;
         Alcotest.test_case "eval leaves the ABox's relations untouched" `Quick
           test_eval_leaves_abox_relations;
+        Alcotest.test_case "renamings answered in place" `Quick
+          test_renamings_in_place;
         Alcotest.test_case "a predicate at two arities" `Quick
           test_predicate_at_two_arities;
-        Alcotest.test_case "relation sorted view memoised" `Quick
-          test_relation_sorted_view_memoised;
         Alcotest.test_case "relation storage vs set model" `Quick
           test_relation_model;
       ] );

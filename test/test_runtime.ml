@@ -823,6 +823,53 @@ let test_budget_slice () =
   Budget.absorb Budget.none ~from:s;
   check_int "absorb into none is a no-op" before (Budget.steps_spent Budget.none)
 
+(* [Budget.charge] counts steps and size in bulk, binds both caps, and
+   reads the wall clock exactly when the step count passes a multiple of
+   1024, as the same number of single steps would. *)
+let test_budget_charge () =
+  let expired () =
+    let b = Budget.create ~timeout:0. () in
+    Unix.sleepf 0.002;
+    b
+  in
+  let outcome f =
+    match budget_error f with
+    | Some (Error.Budget_exhausted { resource; spent; limit }) ->
+      Some (resource, spent, limit)
+    | Some _ | None -> None
+  in
+  let wall f =
+    match outcome f with Some (Error.Wall_clock, _, _) -> true | _ -> false
+  in
+  let b = expired () in
+  check "short of 1024 steps, no clock read" false
+    (wall (fun () -> Budget.charge b 1023));
+  check_int "steps counted" 1023 (Budget.steps_spent b);
+  check_int "size counted" 1023 (Budget.size_spent b);
+  check "reaching 1024 reads the clock" true (wall (fun () -> Budget.charge b 1));
+  let b = expired () in
+  Budget.charge b 1000;
+  check "a charge across 1024 reads the clock" true
+    (wall (fun () -> Budget.charge b 100));
+  check "then none until 2048" false (wall (fun () -> Budget.charge b 947));
+  check "2048 reads it again" true (wall (fun () -> Budget.charge b 1));
+  check "one charge across several multiples reads it" true
+    (wall (fun () -> Budget.charge (expired ()) 5000));
+  check "a zero charge reads nothing" false
+    (wall (fun () -> Budget.charge (expired ()) 0));
+  let b = Budget.create ~max_steps:10 () in
+  Budget.step b;
+  Budget.charge b 9;
+  check "the step cap: the charge that passes it" true
+    (outcome (fun () -> Budget.charge b 4) = Some (Error.Steps, 14, 10));
+  let b = Budget.create ~max_size:5 () in
+  Budget.grow b;
+  Budget.charge b 4;
+  check "the size cap: the charge that passes it" true
+    (outcome (fun () -> Budget.charge b 2) = Some (Error.Size, 7, 5));
+  check "unlimited budgets never raise" true
+    (outcome (fun () -> Budget.charge (Budget.create ()) 1_000_000) = None)
+
 let test_slice_shares_deadline () =
   let b = Budget.create ~timeout:0.02 () in
   let s = Budget.slice ~parts:2 b in
@@ -848,6 +895,7 @@ let suites =
         Alcotest.test_case "evaluation budget" `Quick test_eval_budget;
         Alcotest.test_case "explain under the budget" `Quick
           test_answer_explain;
+        Alcotest.test_case "bulk budget charge" `Quick test_budget_charge;
         Alcotest.test_case "sub-budget semantics" `Quick
           test_sub_budget_shares_deadline;
         Alcotest.test_case "fallback recovers" `Quick test_fallback_recovers;
