@@ -535,7 +535,8 @@ let micro () =
      240 grid): a run is one operation per row, reported per operation.  An
      add inserts into a fresh relation, buffer and table growth included; a
      probe looks a full-row key up in the row set, as an evaluator step
-     binding every position does. *)
+     binding every position does.  The sort orders the whole relation, as
+     every answer set and checkpoint is ordered, reported per sort. *)
   let module Relation = Obda_data.Relation in
   let n = 60_000 in
   let rows = Array.init n (fun i -> [| i mod 250; 250 + (i / 250) |]) in
@@ -545,9 +546,10 @@ let micro () =
      atoms), one operation per run: the first writes after freezes — a run
      is a snapshot, an assert, a snapshot and a retract of one unary fact,
      the pattern of a served ASSERT/RETRACT between ANSWERs — and a
-     retraction, asserted back in the same run.  Then the read path over the
-     same store: Eval.run of the Tw* rewriting of the 3-atom sequence-1
-     prefix, which reads the ABox's relations in place. *)
+     retraction, asserted back in the same run.  Then a checkpoint's
+     encoding of the same store, and the read path over it: Eval.run of the
+     Tw* rewriting of the 3-atom sequence-1 prefix, which reads the ABox's
+     relations in place. *)
   let module Abox = Obda_data.Abox in
   let _, _, store =
     build_dataset ~scale:0.05 tbox (List.nth Obda_data.Generate.table2_params 3)
@@ -569,9 +571,17 @@ let micro () =
   (* The rewriters at the longest Fig. 2 prefix, over arbitrary instances
      (the paper-tables cells rewrite each cold) *)
   let omq15 = Omq.make tbox (prefix_query sequence1 15) in
+  (* A row of at most a few microseconds is timed by regression: runs per
+     sample grow geometrically within the shared 0.25 s quota, and the OLS
+     slope is the time per run.  A row of a millisecond or more gets that
+     many samples of one run each instead, and reports their median: under
+     the shared quota a 30 ms row got a handful of samples and one slow one
+     could double it. *)
+  let regression = `Regression and median = `Median 21 in
   let rewrite15 key name alg =
     ( key,
       1,
+      median,
       Test.make ~name:(Printf.sprintf "table1:rewrite-%s(seq1,15)" name)
         (Staged.stage (fun () -> Omq.rewrite alg omq15)) )
   in
@@ -582,17 +592,25 @@ let micro () =
       rewrite15 "rewrite_log_seq1_15_ns" "Log" Omq.Log;
       ( "relation_add_ns",
         n,
+        median,
         Test.make ~name:"ndl:relation-add(60k binary rows)"
           (Staged.stage (fun () ->
                let r = Relation.create 2 in
                Array.iter (fun row -> ignore (Relation.add r row 0)) rows)) );
       ( "index_probe_ns",
         n,
+        median,
         Test.make ~name:"ndl:index-probe(60k binary rows)"
           (Staged.stage (fun () ->
                Array.iter (fun key -> ignore (Relation.find grid key 0)) rows)) );
+      ( "relation_sorted_ids_ns",
+        1,
+        median,
+        Test.make ~name:"relation:sorted-ids(60k binary rows)"
+          (Staged.stage (fun () -> Relation.sorted_ids grid)) );
       ( "abox_write_after_freeze_ns",
         1,
+        regression,
         Test.make ~name:"abox:assert+retract-after-freeze"
           (Staged.stage (fun () ->
                ignore (Abox.snapshot store);
@@ -601,31 +619,57 @@ let micro () =
                ignore (Abox.remove_unary store fresh_pred fresh_const))) );
       ( "abox_retract_ns",
         1,
+        regression,
         Test.make ~name:"abox:retract"
           (Staged.stage (fun () ->
                ignore (Abox.remove_unary store pred member);
                Abox.add_unary store pred member)) );
+      ( "abox_serialize_ns",
+        1,
+        median,
+        Test.make ~name:"abox:serialize(4.ttl@0.05)"
+          (Staged.stage (fun () -> Abox.serialize store)) );
       ( "eval_tw_star_seq1_3_ns",
         1,
+        median,
         Test.make ~name:"eval:Tw*(seq1,3) over 4.ttl@0.05"
           (Staged.stage (fun () -> Obda_ndl.Eval.run ~observe:false tw3 store)) );
       ( "eval_lin_seq1_9_ns",
         1,
+        median,
         Test.make ~name:"eval:Lin(seq1,9) over 2.ttl@0.05"
           (Staged.stage (fun () -> Obda_ndl.Eval.run ~observe:false lin9 ttl2)) );
     ]
   in
-  let analyzed = estimates (List.map (fun (_, _, test) -> test) layer) in
-  List.iter
-    (fun (key, ops, test) ->
-      let name = "obda/" ^ Test.name test in
-      let est = Hashtbl.find_opt analyzed name in
+  let label = Measure.label instance in
+  let time_row test = function
+    | `Regression -> (
+      let est = Hashtbl.find_opt (estimates [ test ]) ("obda/" ^ Test.name test) in
       match Option.bind est Analyze.OLS.estimates with
-      | Some [ t ] ->
+      | Some [ t ] -> Some t
+      | _ -> None)
+    | `Median samples ->
+      let cfg =
+        Benchmark.cfg ~limit:samples ~quota:(Time.second 60.0)
+          ~sampling:(`Linear 0) ~kde:None ()
+      in
+      let per_run m = Measurement_raw.get ~label m /. Measurement_raw.run m in
+      Option.map
+        (fun (b : Benchmark.t) ->
+          let times = Array.map per_run b.lr in
+          Array.sort Float.compare times;
+          times.(Array.length times / 2))
+        (Hashtbl.find_opt (Benchmark.all cfg [ instance ] test) (Test.name test))
+  in
+  List.iter
+    (fun (key, ops, sampling, test) ->
+      let name = "obda/" ^ Test.name test in
+      match time_row test sampling with
+      | Some t ->
         let per_op = t /. float_of_int ops in
         record_float key per_op;
         Printf.printf "%-42s %14.1f ns/op\n" name per_op
-      | _ -> Printf.printf "%-42s (no estimate)\n" name)
+      | None -> Printf.printf "%-42s (no estimate)\n" name)
     layer
 
 (* ------------------------------------------------------------------ *)

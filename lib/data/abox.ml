@@ -309,71 +309,71 @@ let pp ppf a =
 let magic = "OBAX"
 let format_version = 1
 
-let put_u32 buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
-
 let serialize a =
-  (* the relations in predicate order, unary first, each with its row ids
-     in value order: the canonical atom stream *)
-  let sections =
-    List.map
-      (fun tbl ->
-        List.map
-          (fun p ->
-            let r = (Symbol.Tbl.find tbl p).rel in
-            (p, r, Relation.sorted_ids r))
-          (preds tbl))
-      [ a.unary; a.binary ]
+  let sections = [ a.unary; a.binary ] in
+  (* every length is known up front, so the atoms and then the blob are
+     each written once into bytes of their exact size *)
+  let atoms_len =
+    List.fold_left
+      (fun n tbl ->
+        Symbol.Tbl.fold
+          (fun _ { rel = r; _ } n -> n + 8 + (4 * r.size * r.arity))
+          tbl (n + 4))
+      0 sections
   in
-  (* dictionary in first-use order over the atom stream *)
-  let index = Hashtbl.create 64 in
-  let dict_rev = ref [] in
+  let atoms = Bytes.create atoms_len and pos = ref 0 in
+  let put_u32 b n =
+    Bytes.set_int32_le b !pos (Int32.of_int n);
+    pos := !pos + 4
+  in
+  (* One pass over the canonical atom stream — the relations in predicate
+     order, unary first, each with its rows in value order — numbers every
+     symbol in first-use order as it writes the atoms; the dictionary goes
+     in front of them. *)
+  let index = Symbol.Tbl.create (max 64 a.num_inds) in
+  let dict_rev = ref [] and dict_len = ref 0 in
   let intern s =
-    match Hashtbl.find_opt index s with
+    match Symbol.Tbl.find_opt index s with
     | Some i -> i
     | None ->
-      let i = Hashtbl.length index in
-      Hashtbl.add index s i;
-      dict_rev := s :: !dict_rev;
+      let i = Symbol.Tbl.length index in
+      let name = Symbol.name s in
+      Symbol.Tbl.add index s i;
+      dict_rev := name :: !dict_rev;
+      dict_len := !dict_len + 4 + String.length name;
       i
   in
-  let iter_args (r : Relation.t) ids f =
-    Array.iter
-      (fun id ->
-        for k = 0 to r.arity - 1 do
-          f (sym r.data.((id * r.arity) + k))
-        done)
-      ids
-  in
   List.iter
-    (List.iter (fun (p, r, ids) ->
-         ignore (intern p);
-         iter_args r ids (fun c -> ignore (intern c))))
-    sections;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr format_version);
-  put_u32 buf (Hashtbl.length index);
-  List.iter
-    (fun s ->
-      let name = Symbol.name s in
-      put_u32 buf (String.length name);
-      Buffer.add_string buf name)
-    (List.rev !dict_rev);
-  List.iter
-    (fun section ->
-      put_u32 buf (List.length section);
+    (fun tbl ->
+      let ps = preds tbl in
+      put_u32 atoms (List.length ps);
       List.iter
-        (fun (p, r, ids) ->
-          put_u32 buf (intern p);
-          put_u32 buf (Array.length ids);
-          iter_args r ids (fun c -> put_u32 buf (intern c)))
-        section)
+        (fun p ->
+          let r = (Symbol.Tbl.find tbl p).rel in
+          put_u32 atoms (intern p);
+          put_u32 atoms r.size;
+          Array.iter
+            (fun id ->
+              for k = 0 to r.arity - 1 do
+                put_u32 atoms (intern (sym r.data.((id * r.arity) + k)))
+              done)
+            (Relation.sorted_ids r))
+        ps)
     sections;
-  Buffer.contents buf
+  let header = String.length magic + 1 in
+  let blob = Bytes.create (header + 4 + !dict_len + atoms_len) in
+  Bytes.blit_string magic 0 blob 0 (String.length magic);
+  Bytes.set blob (String.length magic) (Char.chr format_version);
+  pos := header;
+  put_u32 blob (Symbol.Tbl.length index);
+  List.iter
+    (fun name ->
+      put_u32 blob (String.length name);
+      Bytes.blit_string name 0 blob !pos (String.length name);
+      pos := !pos + String.length name)
+    (List.rev !dict_rev);
+  Bytes.blit atoms 0 blob !pos atoms_len;
+  Bytes.unsafe_to_string blob
 
 exception Corrupt of string
 

@@ -87,12 +87,20 @@ type t = {
   mutable index_builds : int;
 }
 
-let create arity =
+(* A capacity hint is a planner's estimate, which can be far too high, so
+   it allocates at most 2^20 rows up front (8 MB a position, and a 16 MB
+   row set); a relation that outgrows the hint doubles as any other. *)
+let max_capacity = 1 lsl 20
+
+let create ?(capacity = 0) arity =
+  let capacity = min max_capacity (max 8 capacity) in
+  (* the smallest power of two that holds [capacity] rows at load 1/2 *)
+  let rec slots n = if n >= 2 * capacity then n else slots (2 * n) in
   {
     arity;
-    data = Array.make (8 * arity) 0;
+    data = Array.make (capacity * arity) 0;
     size = 0;
-    rows = empty_slots 16;
+    rows = empty_slots (slots 16);
     indexes = [];
     index_builds = 0;
   }
@@ -311,12 +319,86 @@ let rec compare_rows a i j n =
     let c = Int.compare a.(i) a.(j) in
     if c <> 0 then c else compare_rows a (i + 1) (j + 1) (n - 1)
 
+(* Below [radix_cutoff] rows a comparison sort is cheaper than the radix
+   sort's fixed cost, its digit counts and two id arrays: on binary rows
+   the two cross at about 40 rows with one digit per position and at about
+   80 with two.  Wider digits cost more to clear than they save in passes
+   at those sizes (EXPERIMENTS.md, "Micro-benchmarks").  The
+   [relation:sorted-ids] row of [bench/main.exe micro] times a 60k-row
+   sort. *)
+let radix_cutoff = 64
+let radix_bits = 8
+let radix = 1 lsl radix_bits
+
+(* One stable counting pass: the ids of [src], by the digit of the value at
+   [pos] above [lo] that starts at bit [shift], into [dst].  [counts] holds
+   the digit histogram and is left holding garbage. *)
+let scatter data arity pos lo shift counts src dst =
+  let total = ref 0 in
+  for d = 0 to radix - 1 do
+    let c = counts.(d) in
+    counts.(d) <- !total;
+    total := !total + c
+  done;
+  for i = 0 to Array.length src - 1 do
+    let id = src.(i) in
+    let d = ((data.((id * arity) + pos) - lo) lsr shift) land (radix - 1) in
+    dst.(counts.(d)) <- id;
+    counts.(d) <- counts.(d) + 1
+  done
+
+(* Stable LSD radix sort of the row ids: positions from last to first, each
+   position's value (less its minimum) digit by digit from the lowest.  A
+   digit every row shares moves nothing and is skipped.  [None] when a value
+   is negative, which the digits cannot order. *)
+let radix_sorted r =
+  let n = r.size and arity = r.arity and data = r.data in
+  let src = ref (Array.init n Fun.id) and dst = ref (Array.make n 0) in
+  let counts = Array.make radix 0 in
+  let rec positions pos =
+    if pos < 0 then Some !src
+    else begin
+      let lo = ref max_int and hi = ref min_int in
+      for id = 0 to n - 1 do
+        let v = data.((id * arity) + pos) in
+        if v < !lo then lo := v;
+        if v > !hi then hi := v
+      done;
+      if !lo < 0 then None
+      else begin
+        let lo = !lo and span = !hi - !lo in
+        let shift = ref 0 in
+        while !shift < Sys.int_size && span lsr !shift > 0 do
+          Array.fill counts 0 radix 0;
+          for id = 0 to n - 1 do
+            let d = ((data.((id * arity) + pos) - lo) lsr !shift) land (radix - 1) in
+            counts.(d) <- counts.(d) + 1
+          done;
+          let first = ((data.(pos) - lo) lsr !shift) land (radix - 1) in
+          if counts.(first) < n then begin
+            scatter data arity pos lo !shift counts !src !dst;
+            let s = !src in
+            src := !dst;
+            dst := s
+          end;
+          shift := !shift + radix_bits
+        done;
+        positions (pos - 1)
+      end
+    end
+  in
+  positions (arity - 1)
+
 let sorted_ids r =
-  let ids = Array.init r.size Fun.id in
-  Array.stable_sort
-    (fun i j -> compare_rows r.data (i * r.arity) (j * r.arity) r.arity)
-    ids;
-  ids
+  let by_comparison () =
+    let ids = Array.init r.size Fun.id in
+    Array.stable_sort
+      (fun i j -> compare_rows r.data (i * r.arity) (j * r.arity) r.arity)
+      ids;
+    ids
+  in
+  if r.size < radix_cutoff || r.arity = 0 then by_comparison ()
+  else match radix_sorted r with Some ids -> ids | None -> by_comparison ()
 
 let decode r id =
   List.init r.arity (fun k -> Symbol.unsafe_of_int r.data.((id * r.arity) + k))

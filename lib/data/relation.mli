@@ -12,10 +12,12 @@
     the rows with that key through [next].  Registered indexes are
     maintained on every add and remove, so probing one walks a chain in
     place; a probe on every position is a row-set lookup and needs no
-    index.  Adds and probes allocate nothing
-    beyond amortised buffer growth; a removal walks the chains of the
-    removed and the moved row's keys.  Tuples become [Symbol.t list list]
-    only in {!tuples}.
+    index.  Probes allocate nothing.  An add allocates only when the row
+    buffer, the row set or an index outgrows its size and doubles; a
+    relation created with the number of rows it will hold ([?capacity]),
+    up to {!max_capacity}, never doubles its buffer or its row set.  A removal walks the chains
+    of the removed and the moved row's keys.  Tuples become
+    [Symbol.t list list] only in {!tuples}, in the order of {!sorted_ids}.
 
     The records are readable in place, for the engine's matcher; every
     write goes through the functions below.  A relation has one writer at
@@ -43,8 +45,17 @@ type t = private {
           since adds and removes maintain them in place *)
 }
 
-val create : int -> t
-(** An empty relation of the given arity. *)
+val max_capacity : int
+(** The most rows {!create} allocates up front, 2{^ 20}: a hint above it
+    allocates this many and the relation doubles from there. *)
+
+val create : ?capacity:int -> int -> t
+(** An empty relation of the given arity, with room for [capacity] rows
+    (at least 8, the default, and at most {!max_capacity}): a row buffer
+    of that many rows and the smallest power-of-two row set, of at least
+    16 slots, that holds them at load 1/2.  The capacity is a hint, not a
+    bound: the relation holds the same rows under the same ids whatever it
+    is, and grows past it by doubling. *)
 
 val copy : t -> t
 (** A flat copy, registered indexes included: buffer copies, no rehash. *)
@@ -96,7 +107,13 @@ val lookup : t -> int array -> int array -> int list
     registered index otherwise (registered on first use). *)
 
 val sorted_ids : t -> int array
-(** Row ids in lexicographic order of their values. *)
+(** Row ids in lexicographic order of their values.  From 64 rows up, and
+    when no value is negative, a stable least-significant-digit radix sort
+    over the values as stored: one counting pass per 8-bit digit of a
+    position's value less that position's minimum, positions from last to
+    first, skipping a digit every row shares.  So ordering [n] rows costs
+    [O(n)] per digit pass, with no comparison closure.  Fewer rows take a
+    comparison sort, which is cheaper at that size. *)
 
 val tuples : t -> Symbol.t list list
 (** The rows as symbol tuples, in the order of {!sorted_ids}.  Reading

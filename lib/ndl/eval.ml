@@ -610,6 +610,8 @@ type cstraight = {
          where exactly one source is non-empty and renamed by the identity
          shares that source's relation instead of copying it *)
   mutable sccs : compiled list option;
+  mutable sestimate : float;
+      (* the planned rows: Σ [est_out] over [sccs], set with them *)
 }
 
 type cfixpoint = {
@@ -720,6 +722,7 @@ let skeleton ~naive ~atoms (q : Ndl.query) =
                 sclauses = clauses;
                 srenamings;
                 sccs = None;
+                sestimate = 0.0;
               })
         | preds, _ ->
           let scc = Symbol.Set.of_list preds in
@@ -818,6 +821,21 @@ let shared_source env renamings =
   in
   match live with [ (c, rn, r) ] when rn.identity -> Some (c, r) | _ -> None
 
+(* The rows to allocate for a relation of [arity] planned to hold
+   [estimate]: no more than |ind(A)|^arity, which O(1) gives without
+   building ⊤, nor than the size the budget has left, nor than
+   [Relation.max_capacity], which also keeps the conversion in range. *)
+let capacity env ~arity estimate =
+  let tuples = float_of_int (Abox.num_individuals env.abox) ** float_of_int arity in
+  let rows = Float.min estimate tuples in
+  let rows =
+    match Budget.size_remaining env.budget with
+    | Some left -> Float.min rows (float_of_int left)
+    | None -> rows
+  in
+  if rows >= 1.0 then int_of_float (Float.min rows (float_of_int Relation.max_capacity))
+  else 0
+
 (* Whether the stratum shared a source's relation instead of deriving. *)
 let eval_straight env pool ~naive (st : cstraight) =
   round_marker env;
@@ -828,10 +846,8 @@ let eval_straight env pool ~naive (st : cstraight) =
     Budget.charge env.budget r.size;
     true
   | None ->
-    let target = Relation.create st.sarity in
-    (* register first so in-stratum references resolve to the (empty)
-       target *)
-    Symbol.Tbl.replace env.relations st.spred target;
+    (* a non-recursive stratum's clauses never read its own predicate, so
+       the relation can wait for the plans that size it *)
     let ccs =
       match st.sccs with
       | Some ccs -> ccs
@@ -842,8 +858,15 @@ let eval_straight env pool ~naive (st : cstraight) =
             st.sclauses
         in
         st.sccs <- Some ccs;
+        st.sestimate <-
+          List.fold_left (fun acc cc -> acc +. cc.plan.Plan.est_out) 0.0 ccs;
         ccs
     in
+    (* created at its planned size (a naive plan estimates nothing) *)
+    let target =
+      Relation.create ~capacity:(capacity env ~arity:st.sarity st.sestimate) st.sarity
+    in
+    Symbol.Tbl.replace env.relations st.spred target;
     eval_batch env pool [| target |] (List.map (fun cc -> (0, cc)) ccs);
     false
 

@@ -23,7 +23,15 @@
     [[0]] and [[1]] indexes to answer every other EDB probe.  The matcher
     compiles each plan step's checks and bindings once, from the plan's
     static bound set, and reads, probes and adds rows in place, allocating
-    per row only when a buffer grows.
+    per row only when a buffer grows.  A non-recursive stratum's relation
+    is created at the size its plans estimate, the sum of
+    {!Plan.t.est_out} over its clauses, capped at |ind(A)|{^ arity}, at
+    {!Obda_data.Relation.max_capacity} rows and, under a size cap, at the
+    size the budget has left; so an accurately estimated relation never
+    regrows, whether it is derived in place or merged from a worker
+    pool.  The estimate is kept with the cached plan and the caps take
+    O(1), so a cached run builds no ⊤ for it.  Fixpoint strata and the
+    [naive] engine start at the default size and grow by doubling.
 
     {b Renamings.}  A clause [p(a_π) <- s(a)] — one body atom over
     distinct variables, a head that permutes them — only renames [s]'s
@@ -47,7 +55,9 @@ open Obda_syntax
 open Obda_data
 
 type result = {
-  answers : Symbol.t list list;  (** tuples of the goal relation, sorted *)
+  answers : Symbol.t list list;
+      (** tuples of the goal relation, sorted by
+          {!Obda_data.Relation.sorted_ids} *)
   generated_tuples : int;
       (** Σ sizes of all IDB relations, as if every one were materialised:
           a view counts as the relation it renames *)

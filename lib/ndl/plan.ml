@@ -16,7 +16,12 @@ type step = {
   est_matches : float;
 }
 
-type t = { steps : step list; est_reads : float; reordered : bool }
+type t = {
+  steps : step list;
+  est_reads : float;
+  est_out : float;
+  reordered : bool;
+}
 
 type stats = {
   card : Symbol.t -> int;
@@ -101,7 +106,7 @@ let make stats ~nvars atoms =
   in
   let rec pick rows est_reads acc order remaining =
     match remaining with
-    | [] -> (List.rev acc, est_reads, List.rev order)
+    | [] -> (List.rev acc, est_reads, rows, List.rev order)
     | _ -> (
       (* a bound equality or domain atom is a free filter: take it now *)
       let filter =
@@ -140,9 +145,9 @@ let make stats ~nvars atoms =
         pick out (est_reads +. reads) (step :: acc) (i :: order)
           (List.filter (fun x -> x != chosen) remaining))
   in
-  let steps, est_reads, order = pick 1.0 0.0 [] [] indexed in
+  let steps, est_reads, est_out, order = pick 1.0 0.0 [] [] indexed in
   let reordered = order <> List.sort Int.compare order in
-  { steps; est_reads; reordered }
+  { steps; est_reads; est_out; reordered }
 
 let trivial ~nvars atoms =
   let bound = Array.make nvars false in
@@ -166,7 +171,7 @@ let trivial ~nvars atoms =
         step)
       atoms
   in
-  { steps; est_reads = 0.0; reordered = false }
+  { steps; est_reads = 0.0; est_out = 0.0; reordered = false }
 
 let describe ~names plan =
   let term = function

@@ -47,6 +47,12 @@ type step = {
 type t = {
   steps : step list;
   est_reads : float;  (** estimated tuples read by the whole body *)
+  est_out : float;
+      (** estimated matches of the whole body, so head tuples emitted
+          before duplicates are dropped: the product of the steps'
+          [est_matches].  [Eval] sums it over a stratum's clauses to size
+          the stratum's relation when it creates it.  0 in a {!trivial}
+          plan. *)
   reordered : bool;  (** the order differs from the written body *)
 }
 

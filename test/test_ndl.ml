@@ -928,6 +928,105 @@ let test_renamings_in_place () =
   check_int "generated tuples with both sources" 10 r.Eval.generated_tuples;
   check_int "naive agrees" 10 (Eval.run ~naive:true q a').Eval.generated_tuples
 
+(* A derived relation is created at the size its stratum's plans
+   estimate.  A cross product is estimated exactly, so the goal's relation
+   ends with the buffer and the row set it was created with: 120 rows of
+   3, and 256 slots, the smallest power of two holding 120 rows at load
+   1/2, whether it is derived in place or merged from two workers.  The
+   naive engine starts at 8 rows and doubles its buffer to 128.
+   Under a size cap the allowance left bounds the size: [Hh(x) <- Rh(x,y)]
+   is planned at 100 rows and holds one, then [Gh] at 100 and holds one,
+   so a cap of 10 sizes [Hh] at 10 rows and [Gh] at the 9 left. *)
+let test_planned_capacity () =
+  let c i = Printf.sprintf "k%d" i in
+  let a =
+    abox_of_facts
+      (List.init 40 (fun i -> `B ("Rk", c i, c (i + 1)))
+      @ List.init 3 (fun i -> `U ("Ak", c (100 + i))))
+  in
+  let q =
+    Ndl.make ~goal:(sym "Gcap") ~goal_args:[ "x"; "y"; "z" ]
+      [
+        {
+          Ndl.head = (sym "Gcap", [ v "x"; v "y"; v "z" ]);
+          body = [ p "Rk" [ v "x"; v "y" ]; p "Ak" [ v "z" ] ];
+        };
+      ]
+  in
+  let relation ?naive ?pool q a name =
+    let r = Eval.run ?naive ?pool q a in
+    Symbol.Map.find (sym name) (Lazy.force r.Eval.idb_relations)
+  in
+  let g = relation q a "Gcap" in
+  check_int "120 rows" 120 g.Relation.size;
+  check_int "buffer as created: 120 rows" (120 * 3) (Array.length g.data);
+  check_int "row set as created: 256 slots" 256 (Array.length g.rows);
+  let gp =
+    Obda_runtime.Pool.with_pool ~jobs:2 (fun pool -> relation ~pool q a "Gcap")
+  in
+  check_int "2 workers: same rows" 120 gp.size;
+  check_int "2 workers: merged into 120 rows" (120 * 3) (Array.length gp.data);
+  check_int "2 workers: into 256 slots" 256 (Array.length gp.rows);
+  let gn = relation ~naive:true q a "Gcap" in
+  check_int "naive: same rows" 120 gn.size;
+  check_int "naive: buffer doubled from 8 rows" (128 * 3) (Array.length gn.data);
+  let b =
+    abox_of_facts
+      (List.init 100 (fun j -> `B ("Rh", "h0", Printf.sprintf "h%d" (j + 1))))
+  in
+  let q2 =
+    Ndl.make ~goal:(sym "Gh") ~goal_args:[ "x" ]
+      [
+        { Ndl.head = (sym "Hh", [ v "x" ]); body = [ p "Rh" [ v "x"; v "y" ] ] };
+        {
+          Ndl.head = (sym "Gh", [ v "x" ]);
+          body = [ p "Hh" [ v "x" ]; p "Rh" [ v "x"; v "y" ] ];
+        };
+      ]
+  in
+  let sizes ?budget () =
+    let rels = Lazy.force (Eval.run ?budget q2 b).Eval.idb_relations in
+    List.map
+      (fun name ->
+        let r = Symbol.Map.find (sym name) rels in
+        (r.Relation.size, Array.length r.data))
+      [ "Hh"; "Gh" ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "unlimited: sized at the estimate" [ (1, 100); (1, 100) ] (sizes ());
+  Alcotest.(check (list (pair int int)))
+    "--max-size 10: sized at the allowance left" [ (1, 10); (1, 9) ]
+    (sizes ~budget:(Obda_runtime.Budget.create ~max_size:10 ()) ())
+
+(* The estimate is a hint and can be far too high; a relation is never
+   allocated beyond [Relation.max_capacity] rows for it.  [S(z, kz)] probes
+   on a constant no row holds, but [S]'s 1,500 rows share two values
+   there, so the step is planned at 750 matches and the body at
+   750 × 1,500 = 1,125,000, past the 2^20-row ceiling and far below
+   |ind(A)|^3; the goal's relation holds no row. *)
+let test_capacity_ceiling () =
+  let a =
+    abox_of_facts
+      (List.init 1500 (fun i ->
+           `B ("Ro", Printf.sprintf "r%d" i, Printf.sprintf "s%d" i))
+      @ List.init 1500 (fun j ->
+            `B ("So", Printf.sprintf "t%d" j, Printf.sprintf "k%d" (j mod 2))))
+  in
+  let q =
+    Ndl.make ~goal:(sym "Gover") ~goal_args:[ "x"; "y"; "z" ]
+      [
+        {
+          Ndl.head = (sym "Gover", [ v "x"; v "y"; v "z" ]);
+          body = [ p "Ro" [ v "x"; v "y" ]; p "So" [ v "z"; Ndl.Cst (sym "kz") ] ];
+        };
+      ]
+  in
+  let r = Eval.run q a in
+  let g = Symbol.Map.find (sym "Gover") (Lazy.force r.Eval.idb_relations) in
+  check_int "no rows" 0 g.Relation.size;
+  check_int "buffer at the ceiling" (3 * Relation.max_capacity) (Array.length g.data);
+  check_int "row set at the ceiling" (2 * Relation.max_capacity) (Array.length g.rows)
+
 let suites =
   [
     ( "ndl",
@@ -971,5 +1070,9 @@ let suites =
           test_predicate_at_two_arities;
         Alcotest.test_case "relation storage vs set model" `Quick
           test_relation_model;
+        Alcotest.test_case "relations created at their planned size" `Quick
+          test_planned_capacity;
+        Alcotest.test_case "an over-estimated relation stops at the ceiling"
+          `Quick test_capacity_ceiling;
       ] );
   ]

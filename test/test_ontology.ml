@@ -142,6 +142,53 @@ let test_bottom () =
   check "has bottom" true (Tbox.has_bottom t);
   check "no bottom in example 11" false (Tbox.has_bottom (Lazy.force t11))
 
+(* Names are read without the interner's lock while another domain
+   interns: one domain interns fresh names, enough to outgrow the name
+   array several times, while the other names ids interned before it
+   started, and then the ones the first domain returned.  An id never
+   interned raises [Not_found]. *)
+let test_symbol_names_across_domains () =
+  let old =
+    Array.init 2000 (fun i -> Symbol.intern (Printf.sprintf "sym-old-%d" i))
+  in
+  let fresh_count = 3 * Symbol.count () + 5000 in
+  let finished = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let ids =
+          Array.init fresh_count (fun i ->
+              if i mod 2 = 0 then Symbol.intern (Printf.sprintf "sym-new-%d" i)
+              else Symbol.fresh "sym-fresh")
+        in
+        Atomic.set finished true;
+        ids)
+  in
+  let mismatches = ref 0 and rounds = ref 0 in
+  while !rounds = 0 || not (Atomic.get finished) do
+    incr rounds;
+    Array.iteri
+      (fun i s ->
+        if Symbol.name s <> Printf.sprintf "sym-old-%d" i then incr mismatches)
+      old
+  done;
+  let fresh = Domain.join writer in
+  check_int "old names read while interning" 0 !mismatches;
+  Array.iteri
+    (fun i s ->
+      let name = Symbol.name s in
+      if i mod 2 = 0 then
+        Alcotest.(check string) "interned name" (Printf.sprintf "sym-new-%d" i) name
+      else check "fresh name" true (String.starts_with ~prefix:"sym-fresh#" name);
+      check "name interns back to its id" true (Symbol.equal (Symbol.intern name) s))
+    fresh;
+  let unknown = Symbol.unsafe_of_int (Symbol.count () + 7) in
+  check "an unknown id raises Not_found" true
+    (match Symbol.name unknown with _ -> false | exception Not_found -> true);
+  check "a negative id raises Not_found" true
+    (match Symbol.name (Symbol.unsafe_of_int (-1)) with
+    | _ -> false
+    | exception Not_found -> true)
+
 let suites =
   [
     ( "ontology",
@@ -159,5 +206,7 @@ let suites =
         Alcotest.test_case "declared depth zero" `Quick
           test_declared_depth_zero;
         Alcotest.test_case "bottom" `Quick test_bottom;
+        Alcotest.test_case "symbol names across domains" `Quick
+          test_symbol_names_across_domains;
       ] );
   ]

@@ -620,7 +620,95 @@ let tree_witness_closure =
         (branches @ complements))
 
 (* ------------------------------------------------------------------ *)
-(* 8. consistency handling: inconsistent data returns all tuples *)
+(* 8. the relation kernel: the row order every answer, materialisation
+      and checkpoint is written in, and the capacity hint *)
+
+(* Random writes to a relation of [arity]: adds of rows over a value pool
+   that mixes small ids, ids of 2^22 and above up to [max_int] (more radix
+   digits, every one of them at the top) and, in one case of eight,
+   negative values; then removals of about a quarter of the rows tried. *)
+let random_writes rng arity =
+  let small = [| 1; 500; 40; 9; 6 |].(arity) in
+  let negatives = Random.State.int rng 8 = 0 in
+  let value () =
+    match Random.State.int rng 24 with
+    | 0 -> (1 lsl 22) + Random.State.int rng 4
+    | 1 -> (1 lsl 40) + Random.State.int rng 3
+    | 4 -> max_int - Random.State.int rng 3
+    | 2 -> Random.State.int rng ((1 lsl 30) - 1)
+    | 3 when negatives -> -1 - Random.State.int rng 3
+    | _ -> Random.State.int rng small
+  in
+  let row _ = Array.init arity (fun _ -> value ()) in
+  let rows = List.init (Random.State.int rng 400) row in
+  (rows, List.filter (fun _ -> Random.State.int rng 4 = 0) rows)
+
+let apply_writes r (adds, removes) =
+  List.map (fun row -> Relation.add r row 0) adds
+  @ List.map (fun row -> Relation.remove r row 0) removes
+
+let sorted_ids_order =
+  QCheck.Test.make ~count:300
+    ~name:"Relation.sorted_ids = comparison order (arity 0-4, after removals)"
+    QCheck.(pair (int_range 0 4) (int_bound 1_000_000))
+    (fun (arity, seed) ->
+      let rng = Random.State.make [| seed; 23 |] in
+      let r = Relation.create arity in
+      ignore (apply_writes r (random_writes rng arity));
+      let row id = Array.to_list (Array.sub r.data (id * arity) arity) in
+      let expected =
+        List.sort
+          (fun i j -> List.compare Int.compare (row i) (row j))
+          (List.init r.size Fun.id)
+      in
+      Array.to_list (Relation.sorted_ids r) = expected
+      || QCheck.Test.fail_reportf "arity %d, %d rows" arity r.size)
+
+(* Every id's chain on an index: the rows sharing its key, in chain order. *)
+let chains r positions =
+  let ix = Relation.index r positions in
+  List.init r.Relation.size (fun id ->
+      let key = Array.map (fun k -> r.data.((id * r.arity) + k)) positions in
+      let rec walk row acc =
+        if row < 0 then List.rev acc else walk ix.Relation.next.(row) (row :: acc)
+      in
+      walk (Relation.probe ix r key) [])
+
+let capacity_transparent =
+  QCheck.Test.make ~count:200
+    ~name:"Relation.create ?capacity: same rows, ids and index chains"
+    QCheck.(triple (int_range 0 4) (int_bound 5000) (int_bound 1_000_000))
+    (fun (arity, capacity, seed) ->
+      let rng = Random.State.make [| seed; 29 |] in
+      let writes = random_writes rng arity in
+      (* an index on position 0 registered before the writes, one on the
+         other positions after them *)
+      let early = if arity >= 1 then [ [| 0 |] ] else [] in
+      let late = if arity >= 2 then [ Array.init (arity - 1) succ ] else [] in
+      let build r =
+        List.iter (fun ps -> ignore (Relation.index r ps)) early;
+        let outcomes = apply_writes r writes in
+        List.iter (fun ps -> ignore (Relation.index r ps)) late;
+        outcomes
+      in
+      let plain = Relation.create arity in
+      let sized = Relation.create ~capacity arity in
+      let outcomes = build plain in
+      let outcomes' = build sized in
+      let rows (r : Relation.t) = Array.sub r.data 0 (r.size * arity) in
+      let found (r : Relation.t) =
+        List.init r.size (fun id -> Relation.find r r.data (id * arity))
+      in
+      (outcomes = outcomes'
+      && plain.size = sized.size
+      && rows plain = rows sized
+      && found plain = found sized
+      && List.for_all (fun ps -> chains plain ps = chains sized ps) (early @ late))
+      || QCheck.Test.fail_reportf "arity %d, capacity %d, %d rows" arity capacity
+           plain.size)
+
+(* ------------------------------------------------------------------ *)
+(* 9. consistency handling: inconsistent data returns all tuples *)
 
 let inconsistent_all_tuples () =
   let tbox =
@@ -660,6 +748,8 @@ let suites =
         QCheck_alcotest.to_alcotest renamings_in_place;
         QCheck_alcotest.to_alcotest snapshot_isolation;
         QCheck_alcotest.to_alcotest tree_witness_closure;
+        QCheck_alcotest.to_alcotest sorted_ids_order;
+        QCheck_alcotest.to_alcotest capacity_transparent;
         Alcotest.test_case "inconsistent data returns all tuples" `Quick
           inconsistent_all_tuples;
       ] );
