@@ -880,79 +880,14 @@ let service_cache () =
     !rows
 
 (* ------------------------------------------------------------------ *)
-(* Parallel evaluation scaling: one Tw rewriting of the Fig. 2 sequence,
-   evaluated sequentially and on 2- and 4-worker pools over the largest
-   Table 2 dataset.  The answer sets must be identical at every worker
-   count (the partition merge re-sorts, so this is the byte-identical
-   contract of `--jobs`); the speedup column is bounded by however many
-   cores the machine actually has. *)
-
-let par_scaling () =
-  print_header
-    "par-scaling: one Tw rewriting, 1/2/4 evaluation workers (largest \
-     Table 2 dataset)";
-  let module Pool = Obda_runtime.Pool in
-  let tbox = example11 () in
-  let largest =
-    List.nth Obda_data.Generate.table2_params
-      (List.length Obda_data.Generate.table2_params - 1)
-  in
-  let dname, _, abox = build_dataset ~scale:!scale tbox largest in
-  Printf.printf "dataset %s: %d atoms over %d individuals, %d cores\n" dname
-    (Obda_data.Abox.num_atoms abox)
-    (Obda_data.Abox.num_individuals abox)
-    (Domain.recommended_domain_count ());
-  let widths = [ 7; 9; 10; 9; 10; 11 ] in
-  print_row widths [ "atoms"; "workers"; "time(s)"; "speedup"; "#tup"; "identical" ];
-  let speedup4 = ref [] in
-  List.iter
-    (fun n ->
-      let q = prefix_query sequence1 n in
-      let query = Omq.rewrite Omq.Tw (Omq.make tbox q) in
-      let run jobs =
-        let t0 = Unix.gettimeofday () in
-        let r =
-          if jobs = 1 then Eval.run query abox
-          else Pool.with_pool ~jobs (fun pool -> Eval.run ~pool query abox)
-        in
-        (Unix.gettimeofday () -. t0, r)
-      in
-      let t1, r1 = run 1 in
-      List.iter
-        (fun jobs ->
-          let t, r = if jobs = 1 then (t1, r1) else run jobs in
-          let speedup = t1 /. t in
-          if jobs = 4 then speedup4 := speedup :: !speedup4;
-          print_row widths
-            [
-              string_of_int n;
-              string_of_int jobs;
-              Printf.sprintf "%.3f" t;
-              Printf.sprintf "%.2fx" speedup;
-              string_of_int r.Eval.generated_tuples;
-              (if r.Eval.answers = r1.Eval.answers then "yes" else "NO");
-            ])
-        [ 1; 2; 4 ])
-    [ 8; 12; 15 ];
-  let mean =
-    List.fold_left ( +. ) 0. !speedup4 /. float_of_int (List.length !speedup4)
-  in
-  record_float "mean_speedup_4w" mean;
-  Printf.printf
-    "mean 4-worker speedup: %.2fx on %d core(s) (acceptance: >= 2x given >= \
-     4 cores)\n"
-    mean
-    (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
 (* Cost-based join planning + semi-naïve delta evaluation vs the naïve
    baseline (Eval's ~naive: written-order heuristic, index-only access, full
    re-derivation per fixpoint round), on the Table 2 datasets.  Two legs
    per dataset: the Tw rewriting of the Fig. 2 sequence (planning reorders
    the rewriting's clause bodies), and a recursive transitive closure over
    the dataset's R edges (semi-naïve deltas bound re-derivation).  Answers
-   must be byte-identical to the baseline and across 1/2/4 workers, and
-   every leg must generate exactly the baseline's tuples (the baseline
+   must be byte-identical to the baseline, and every leg must generate
+   exactly the baseline's tuples (the baseline
    copies every renaming the planned engine reads in place); the read and
    time gates run on the largest dataset. *)
 
@@ -962,7 +897,6 @@ let eval_plan () =
        "eval-plan: cost-based planning + semi-naïve evaluation vs the naïve \
         baseline (scale %g)"
        !scale);
-  let module Pool = Obda_runtime.Pool in
   let module Eval = Obda_ndl.Eval in
   let tbox = example11 () in
   let ds = datasets ~scale:!scale tbox in
@@ -1004,15 +938,7 @@ let eval_plan () =
         (fun (leg, query) ->
           let tn, rn = time (fun () -> Eval.run ~naive:true query abox) in
           let tp, rp = time (fun () -> Eval.run query abox) in
-          let identical =
-            rp.Eval.answers = rn.Eval.answers
-            && List.for_all
-                 (fun jobs ->
-                   Pool.with_pool ~jobs (fun pool ->
-                       (Eval.run ~pool query abox).Eval.answers)
-                   = rp.Eval.answers)
-                 [ 2; 4 ]
-          in
+          let identical = rp.Eval.answers = rn.Eval.answers in
           if not identical then identity_ok := false;
           let drop =
             float_of_int rn.Eval.tuples_read
@@ -1089,15 +1015,15 @@ let eval_plan () =
         !largest_planned !largest_naive
       :: !gate_failures;
   if not !identity_ok then
-    failwith "eval-plan: answers differ between engines or worker counts";
+    failwith "eval-plan: answers differ between engines";
   match !gate_failures with
   | [] ->
     print_endline
       "acceptance: ok — semi-naïve evaluation reads strictly fewer tuples \
        (and is faster) than full re-derivation on the largest dataset's \
-       recursive leg, planning does not regress the rewriting leg, every \
-       leg generates exactly the baseline's tuples, and answers are \
-       byte-identical at 1/2/4 workers"
+       recursive leg, planning does not regress the rewriting leg, and \
+       every leg generates exactly the baseline's tuples and answers \
+       byte-identical to the baseline's"
   | fs -> failwith ("eval-plan acceptance gate: " ^ String.concat "; " fs)
 
 let experiments =
@@ -1119,7 +1045,6 @@ let experiments =
     ("micro", micro);
     ("obs-overhead", obs_overhead);
     ("service-cache", service_cache);
-    ("par-scaling", par_scaling);
     ("eval-plan", eval_plan);
     ("serve-load", Serve_load.run);
   ]

@@ -162,7 +162,6 @@ let measure_8_clients ~durable =
     Serve.detach_wal session;
     Wal.close wal
   | None -> ());
-  Session.close session;
   ( measured.rate,
     measured.non_square + warm.non_square,
     measured.errors + warm.errors )
@@ -289,7 +288,6 @@ let run () =
     [ 1; 8; 64 ];
   Server.stop server;
   Thread.join server_thread;
-  Session.close session;
   Fun.protect
     ~finally:(fun () -> Histogram.set_enabled prev_recording)
     durable_leg;

@@ -113,29 +113,6 @@ let budget_term =
   in
   Term.(const make $ timeout $ max_steps $ max_size)
 
-(* Evaluation parallelism, shared by [answer] and [serve].  The default
-   comes from OBDA_JOBS so an unchanged invocation (the test corpus, CI)
-   can exercise the parallel path; 1 = the sequential engine. *)
-let jobs_term =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ] ~docv:"N"
-        ~env:(Cmd.Env.info "OBDA_JOBS")
-        ~doc:
-          "Evaluate NDL rewritings on $(docv) worker domains.  Answers are \
-           byte-identical for any $(docv); the default 1 is the sequential \
-           engine.")
-
-(* Run [f] with a worker pool when [jobs > 1] (shut down afterwards), with
-   [None] — the sequential engine — otherwise. *)
-let with_jobs jobs f =
-  if jobs < 1 then begin
-    prerr_endline "obda: --jobs must be >= 1";
-    exit 124
-  end
-  else if jobs = 1 then f None
-  else Obda_runtime.Pool.with_pool ~jobs (fun p -> f (Some p))
-
 (* ------------------------------------------------------------------ *)
 (* Fault injection (chaos testing), shared by the pipeline commands. *)
 
@@ -354,7 +331,7 @@ let rewrite_cmd =
       $ over_complete $ budget_term $ inject_term $ telemetry_term)
 
 let answer_cmd =
-  let run ontology query data mapping source algorithm use_chase budget jobs
+  let run ontology query data mapping source algorithm use_chase budget
       fallback retry fail_inconsistent explain inject telemetry =
     handle_errors (fun () ->
         init_telemetry ~budget telemetry;
@@ -362,7 +339,6 @@ let answer_cmd =
         let omq = load_omq ontology query in
         let on_inconsistent = if fail_inconsistent then `Error else `All_tuples in
         let answers =
-          with_jobs jobs @@ fun pool ->
           match (mapping, source) with
           | Some mf, Some sf ->
             (* virtual OBDA: unfold the rewriting through the mapping and
@@ -398,7 +374,7 @@ let answer_cmd =
                       ]
                 in
                 let r =
-                  Omq.answer_with_fallback ?pool ~budget ?explain
+                  Omq.answer_with_fallback ~budget ?explain
                     ~retries:retry ?chain ~on_inconsistent omq abox
                 in
                 let attempt_name (a : Omq.attempt) =
@@ -425,8 +401,8 @@ let answer_cmd =
                 r.Omq.answers
               end
               else
-                Omq.answer ?pool ~budget ?explain ~on_inconsistent ?algorithm
-                  omq abox
+                Omq.answer ~budget ?explain ~on_inconsistent ?algorithm omq
+                  abox
             | None ->
               prerr_endline "answer: provide -d, or --mapping with --source";
               exit 1)
@@ -515,7 +491,7 @@ let answer_cmd =
     Term.(
       const run $ ontology_arg $ query_arg $ data_opt $ mapping $ source
       $ algorithm_arg ~default:None
-      $ use_chase $ budget_term $ jobs_term $ fallback $ retry
+      $ use_chase $ budget_term $ fallback $ retry
       $ fail_inconsistent $ explain_flag $ inject_term
       $ telemetry_term)
 
@@ -648,7 +624,7 @@ let serve_cmd =
   let module Service = Obda_service in
   let run ontology data script cache_entries cache_size socket tcp connections
       backlog max_inflight idle_timeout access_log slow_ms
-      data_dir durability checkpoint_every budget jobs inject telemetry =
+      data_dir durability checkpoint_every budget inject telemetry =
     handle_errors (fun () ->
         init_telemetry ~budget telemetry;
         arm_faults inject;
@@ -673,17 +649,7 @@ let serve_cmd =
               Printf.eprintf "obda: --durability: %s\n" msg;
               exit 124)
         in
-        if jobs < 1 then begin
-          prerr_endline "obda: --jobs must be >= 1";
-          exit 124
-        end;
         let address = server_address socket tcp in
-        if address <> None && jobs > 1 then begin
-          prerr_endline
-            "obda: the network server requires --jobs 1; use --connections N \
-             to parallelise across connections";
-          exit 124
-        end;
         (* The serving path always measures: per-verb latency/size
            histograms feed the METRICS verb in every serve mode. *)
         Obda_obs.Histogram.set_enabled true;
@@ -718,11 +684,11 @@ let serve_cmd =
           Service.Serve.set_access_log ?slow_ms write);
         let session =
           Service.Session.create ~budget ?cache_entries
-            ?cache_weight:cache_size ~jobs ()
+            ?cache_weight:cache_size ()
         in
         Fun.protect
           ~finally:(fun () ->
-            (match Service.Session.wal session with
+            match Service.Session.wal session with
             | Some w ->
               (* a final checkpoint makes the next start instant (empty
                  replay); best-effort — the WAL alone already carries
@@ -731,8 +697,7 @@ let serve_cmd =
                with _ -> ());
               Service.Session.detach_wal session;
               Service.Wal.close w
-            | None -> ());
-            Service.Session.close session)
+            | None -> ())
           (fun () ->
             (match data_dir with
             | None -> ()
@@ -967,9 +932,7 @@ let serve_cmd =
           content-addressed rewriting cache.  Each request gets the whole \
           --timeout/--max-steps/--max-size allowance, counted from its own \
           start; failures are reported as in-protocol ERR lines, leaving \
-          the session usable.  With --jobs N \
-          evaluation (ANSWER, and BATCH queries) runs on N worker domains \
-          with byte-identical responses.  With --socket or --tcp the \
+          the session usable.  With --socket or --tcp the \
           protocol is served over the network instead: --connections \
           concurrent clients against one shared session, every \
           ANSWER/BATCH isolated on a copy-on-write ABox snapshot, with \
@@ -982,7 +945,7 @@ let serve_cmd =
       const run $ ontology $ data $ script $ cache_entries $ cache_size
       $ socket_arg $ tcp_arg $ connections $ backlog $ max_inflight
       $ idle_timeout $ access_log $ slow_ms $ data_dir
-      $ durability $ checkpoint_every $ budget_term $ jobs_term $ inject_term
+      $ durability $ checkpoint_every $ budget_term $ inject_term
       $ telemetry_term)
 
 let client_cmd =

@@ -233,7 +233,7 @@ let inconsistent_answers ~on_inconsistent omq abox =
 let consistent omq abox =
   Obs.with_span "chase.consistency" (fun () -> Abox.consistent omq.tbox abox)
 
-let answer ?pool ?budget ?explain ?(on_inconsistent = `All_tuples) ?algorithm
+let answer ?budget ?explain ?(on_inconsistent = `All_tuples) ?algorithm
     omq abox =
   if not (consistent omq abox) then
     inconsistent_answers ~on_inconsistent omq abox
@@ -242,7 +242,7 @@ let answer ?pool ?budget ?explain ?(on_inconsistent = `All_tuples) ?algorithm
       match algorithm with Some a -> a | None -> default_algorithm omq
     in
     let q = rewrite ?budget ~over:`Arbitrary alg omq in
-    (Eval.run ?pool ?budget ?explain q abox).answers
+    (Eval.run ?budget ?explain q abox).answers
 
 let answer_certain ?budget ?(on_inconsistent = `All_tuples) omq abox =
   if not (consistent omq abox) then
@@ -283,7 +283,7 @@ let default_chain preferred =
   in
   preferred :: tail
 
-let answer_with_fallback ?pool ?(budget = Budget.none) ?explain ?(retries = 0)
+let answer_with_fallback ?(budget = Budget.none) ?explain ?(retries = 0)
     ?chain ?(on_inconsistent = `All_tuples) omq abox =
   let chain =
     match chain with
@@ -335,7 +335,7 @@ let answer_with_fallback ?pool ?(budget = Budget.none) ?explain ?(retries = 0)
                     "side conditions do not hold for this OMQ"
                 else
                   let q = rewrite ~budget:b ~over:`Arbitrary alg omq in
-                  (Eval.run ?pool ~budget:b ?explain q abox).answers)
+                  (Eval.run ~budget:b ?explain q abox).answers)
           with
           | answers ->
             {

@@ -76,7 +76,6 @@ val rewrite :
     inconsistent, so [Eval] alone computes certain answers on any data. *)
 
 val answer :
-  ?pool:Obda_runtime.Pool.t ->
   ?budget:Obda_runtime.Budget.t ->
   ?explain:(string -> unit) ->
   ?on_inconsistent:[ `All_tuples | `Error ] ->
@@ -86,11 +85,6 @@ val answer :
     tuple over ind(A) is returned (of the answer arity), per the convention
     at the end of Section 2 — or, with [~on_inconsistent:`Error],
     [Obda_error (Inconsistent_data _)] is raised instead.
-
-    [pool] is handed to {!Obda_ndl.Eval.run}: evaluation is partitioned
-    across the pool's workers with byte-identical answers for any worker
-    count.  Rewriting and the consistency pre-check stay on the calling
-    domain.
 
     Every call runs the consistency pre-check, which returns at once when
     the TBox has no ⊥-axiom.  Callers answering many queries over one
@@ -142,7 +136,6 @@ val default_chain : algorithm -> algorithm list
     Presto*(TW), then the UCQ engines. *)
 
 val answer_with_fallback :
-  ?pool:Obda_runtime.Pool.t ->
   ?budget:Obda_runtime.Budget.t ->
   ?explain:(string -> unit) ->
   ?retries:int ->

@@ -60,16 +60,13 @@ val create : ?capacity:int -> int -> t
 val copy : t -> t
 (** A flat copy, registered indexes included: buffer copies, no rehash. *)
 
-val hash_values : int array -> int -> int -> int
-(** [hash_values a off n]: the hash of the [n] values from [a.(off)], the
-    row hash the row set stores. *)
-
 val add : t -> int array -> int -> bool
 (** [add r src off] adds the row [src.(off .. off + arity - 1)]; [false]
     when it was present. *)
 
 val add_hashed : t -> int array -> int -> int -> bool
-(** {!add} with the row's {!hash_values} already known. *)
+(** {!add} with the row's hash already known, as {!add_all} hands it to
+    [on_new]. *)
 
 val add_all : t -> t -> (int array -> int -> int -> unit) -> unit
 (** [add_all dst src on_new] adds every row of [src] to [dst]; [on_new]

@@ -3,7 +3,6 @@ open Obda_data
 module Budget = Obda_runtime.Budget
 module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
-module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 
 (* ------------------------------------------------------------------ *)
@@ -150,19 +149,15 @@ type env = {
   abox : Abox.t;
   external_edb : Symbol.t -> int -> Symbol.t list list option;
   domain : int array Lazy.t;
-      (* ⊤, sorted for membership by binary search; built on first use, and
-         before [Pool.run] when a worker may read it: forcing is not
-         domain-safe *)
+      (* ⊤, sorted for membership by binary search; built on first use *)
   budget : Budget.t;
   observe : bool;
-      (* when false — worker domains, unobserved batch runs — the evaluator
-         must not touch the global telemetry sink or the fault registry *)
+      (* when false the evaluator must not touch the global telemetry sink
+         or the fault registry *)
   explain : (string -> unit) option;
   mutable reads : int;
       (* tuples delivered from relation storage or domain sweeps — the
-         engine-work measure the eval-plan bench gates on.  First-atom
-         candidates rejected by a worker's partition filter are not
-         counted, so the total is identical at every worker count *)
+         engine-work measure the eval-plan bench gates on *)
 }
 
 (* Whether [c] occurs in the sorted [a.(lo .. hi - 1)]. *)
@@ -336,18 +331,10 @@ let rec agrees_hold data off binding agrees k =
 let unresolved = Relation.create 0
 let no_index = Relation.build_index unresolved [||]
 
-(* Evaluate one compiled clause into [target].  [keep], if given, is a
-   partition filter consulted only at the clause's first step: for a leading
-   [CPred] it receives the hash of each candidate row, for a leading
-   domain sweep (unbound [CDom], unbound–unbound [CEq]) the domain constant.
-   A worker passing [keep] sees a disjoint slice of the first step's search
-   space; the union over workers is exactly the sequential enumeration. *)
-let eval_compiled env target ?keep cc =
+(* Evaluate one compiled clause into [target]. *)
+let eval_compiled env target cc =
   let { nvars; head; steps; _ } = cc in
   let nsteps = Array.length steps in
-  let partitioned, accept =
-    match keep with None -> (false, fun _ -> true) | Some k -> (true, k)
-  in
   let binding = Array.make nvars (-1) in
   let out = Array.make (Array.length head) 0 in
   let rels = Array.make nsteps unresolved in
@@ -417,12 +404,10 @@ let eval_compiled env target ?keep cc =
         let domain = Lazy.force env.domain in
         for k = 0 to Array.length domain - 1 do
           let c = domain.(k) in
-          if si > 0 || accept c then begin
-            env.reads <- env.reads + 1;
-            binding.(i) <- c;
-            binding.(j) <- c;
-            go (si + 1)
-          end
+          env.reads <- env.reads + 1;
+          binding.(i) <- c;
+          binding.(j) <- c;
+          go (si + 1)
         done
       | Dom_test t ->
         let domain = Lazy.force env.domain in
@@ -431,122 +416,22 @@ let eval_compiled env target ?keep cc =
         let domain = Lazy.force env.domain in
         for k = 0 to Array.length domain - 1 do
           let c = domain.(k) in
-          if si > 0 || accept c then begin
-            env.reads <- env.reads + 1;
-            binding.(i) <- c;
-            go (si + 1)
-          end
+          env.reads <- env.reads + 1;
+          binding.(i) <- c;
+          go (si + 1)
         done
   and visit si p (r : Relation.t) row =
     let data = r.data and off = row * p.arity in
-    if si > 0 || (not partitioned) || accept (Relation.hash_values data off p.arity)
-    then begin
-      env.reads <- env.reads + 1;
-      if consts_hold data off p.consts 0 then begin
-        let binds = p.binds in
-        for k = 0 to (Array.length binds lsr 1) - 1 do
-          binding.(binds.((2 * k) + 1)) <- data.(off + binds.(2 * k))
-        done;
-        if agrees_hold data off binding p.agrees 0 then go (si + 1)
-      end
+    env.reads <- env.reads + 1;
+    if consts_hold data off p.consts 0 then begin
+      let binds = p.binds in
+      for k = 0 to (Array.length binds lsr 1) - 1 do
+        binding.(binds.((2 * k) + 1)) <- data.(off + binds.(2 * k))
+      done;
+      if agrees_hold data off binding p.agrees 0 then go (si + 1)
     end
   in
   go 0
-
-(* ------------------------------------------------------------------ *)
-(* Parallel batch evaluation.
-
-   Plans are computed once per clause on the main domain, so the set of
-   bound positions at every step is static: a prepass can materialise every
-   EDB relation and build every index an [Index] step will probe — leaving
-   the worker domains with pure reads of [env.relations] ([Hash] steps
-   build their transient tables in worker-local memory).  Workers derive
-   into worker-local relations (budgeted by a [Budget.slice] each) and the
-   caller merges them into the batch's target relations: the barrier
-   between strata, and between semi-naïve rounds. *)
-
-let prepare_clause env cc =
-  Array.iter
-    (function
-      | Pred p ->
-        let r = get_relation env p.pred ~arity:p.arity in
-        if p.strategy = Plan.Index && not p.whole then
-          ignore (Relation.index r p.probe)
-      | Eq_sweep _ | Dom_test _ | Dom_sweep _ -> ignore (Lazy.force env.domain)
-      | Eq_test _ | Eq_bind _ -> ())
-    cc.steps
-
-(* How a clause's first-step search space is split across workers.  A
-   leading [CPred] enumerates rows (partition by row hash); a leading
-   domain sweep enumerates constants (partition by constant).  Anything
-   else — a leading bound [CEq]/[CDom], an empty body — explores a
-   constant-size space, so the whole clause goes to one worker. *)
-type scheme = Enum_tuples | Enum_domain | Whole
-
-let scheme_of_plan (plan : Plan.t) =
-  match plan.steps with
-  | { atom = CPred _; _ } :: _ -> Enum_tuples
-  | { atom = CEq (CV _, CV _); _ } :: _ ->
-    Enum_domain (* nothing bound at the first step: a domain sweep *)
-  | { atom = CDom (CV _); _ } :: _ -> Enum_domain
-  | _ -> Whole
-
-(* Evaluate [assignments] — (target index, compiled clause) pairs — into
-   [targets], in parallel when a pool with more than one worker is given.
-   [count_derived] controls whether the merge reports "eval.derived_facts"
-   (the semi-naïve driver counts additions to the full relations itself). *)
-let eval_batch env ?(count_derived = true) pool targets assignments =
-  match pool with
-  | Some pool when Pool.jobs pool > 1 && assignments <> [] ->
-    let jobs = Pool.jobs pool in
-    List.iter (fun (_, cc) -> prepare_clause env cc) assignments;
-    let work = Array.of_list assignments in
-    let schemes = Array.map (fun (_, cc) -> scheme_of_plan cc.plan) work in
-    let locals =
-      Array.init jobs (fun _ ->
-          Array.map (fun (t : Relation.t) -> Relation.create t.arity) targets)
-    in
-    let slices =
-      Array.init jobs (fun _ -> Budget.slice ~parts:jobs env.budget)
-    in
-    let wenvs =
-      Array.init jobs (fun w ->
-          { env with budget = slices.(w); observe = false; reads = 0 })
-    in
-    Pool.run pool (fun w ->
-        let wenv = wenvs.(w) in
-        let keep h = (h land max_int) mod jobs = w in
-        Array.iteri
-          (fun ci (ti, cc) ->
-            match schemes.(ci) with
-            | Whole -> if ci mod jobs = w then eval_compiled wenv locals.(w).(ti) cc
-            | Enum_tuples | Enum_domain ->
-              eval_compiled wenv locals.(w).(ti) ~keep cc)
-          work);
-    (* merge: worker budgets and read counts back into the parent, worker
-       derivations into the target relations (deduplicating across workers) *)
-    Array.iter (fun s -> Budget.absorb env.budget ~from:s) slices;
-    Array.iter (fun wenv -> env.reads <- env.reads + wenv.reads) wenvs;
-    let added = ref 0 in
-    Array.iteri
-      (fun w wlocals ->
-        Array.iteri
-          (fun ti local ->
-            Relation.add_all targets.(ti) local (fun _ _ _ -> incr added))
-          wlocals;
-        if env.observe && Obs.enabled () then
-          Obs.count
-            (Printf.sprintf "eval.worker%d.derived" w)
-            (Array.fold_left
-               (fun acc (l : Relation.t) -> acc + l.size)
-               0 wlocals))
-      locals;
-    if env.observe then begin
-      if count_derived then Obs.count "eval.derived_facts" !added;
-      Obs.incr "eval.parallel_rounds"
-    end
-  | _ ->
-    List.iter (fun (ti, cc) -> eval_compiled env targets.(ti) cc) assignments
 
 (* ------------------------------------------------------------------ *)
 (* Compiled programs and the plan cache.
@@ -837,7 +722,7 @@ let capacity env ~arity estimate =
   else 0
 
 (* Whether the stratum shared a source's relation instead of deriving. *)
-let eval_straight env pool ~naive (st : cstraight) =
+let eval_straight env ~naive (st : cstraight) =
   round_marker env;
   match Option.bind st.srenamings (shared_source env) with
   | Some (c, r) ->
@@ -867,7 +752,7 @@ let eval_straight env pool ~naive (st : cstraight) =
       Relation.create ~capacity:(capacity env ~arity:st.sarity st.sestimate) st.sarity
     in
     Symbol.Tbl.replace env.relations st.spred target;
-    eval_batch env pool [| target |] (List.map (fun cc -> (0, cc)) ccs);
+    List.iter (eval_compiled env target) ccs;
     false
 
 (* Semi-naïve fixpoint for a recursive stratum (naïve re-derivation when
@@ -875,7 +760,7 @@ let eval_straight env pool ~naive (st : cstraight) =
    unobserved child environment; the driver itself counts the genuinely new
    tuples and fires the per-round fault site / counters, so telemetry means
    the same thing it does on the straight path. *)
-let eval_fixpoint env pool ~naive (fx : cfixpoint) =
+let eval_fixpoint env ~naive (fx : cfixpoint) =
   let qenv = { env with observe = false } in
   let fulls =
     Array.map
@@ -887,6 +772,9 @@ let eval_fixpoint env pool ~naive (fx : cfixpoint) =
   in
   let fresh_accs () =
     Array.map (fun (r : Relation.t) -> Relation.create r.arity) fulls
+  in
+  let derive accs ccs =
+    List.iter (fun (ti, cc) -> eval_compiled qenv accs.(ti) cc) ccs
   in
   let merge accs =
     let added = ref 0 in
@@ -922,7 +810,7 @@ let eval_fixpoint env pool ~naive (fx : cfixpoint) =
     let rec loop () =
       round_marker env;
       let accs = fresh_accs () in
-      eval_batch qenv ~count_derived:false pool accs base_ccs;
+      derive accs base_ccs;
       let _, added = merge accs in
       if added > 0 then loop ()
     in
@@ -931,7 +819,7 @@ let eval_fixpoint env pool ~naive (fx : cfixpoint) =
   else begin
     round_marker env;
     let acc0 = fresh_accs () in
-    eval_batch qenv ~count_derived:false pool acc0 base_ccs;
+    derive acc0 base_ccs;
     let deltas0, added0 = merge acc0 in
     if added0 > 0 then begin
       let register deltas =
@@ -954,7 +842,7 @@ let eval_fixpoint env pool ~naive (fx : cfixpoint) =
         register deltas;
         round_marker env;
         let accs = fresh_accs () in
-        eval_batch qenv ~count_derived:false pool accs variant_ccs;
+        derive accs variant_ccs;
         let deltas', added = merge accs in
         if added > 0 then loop deltas'
       in
@@ -1000,7 +888,7 @@ let plan_gauges cstrata =
   Obs.set_int "eval.plan.scans" !scans;
   Obs.set_int "eval.plan.reordered" !reordered
 
-let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+let run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
     ~explain (q : Ndl.query) abox =
   let idb = Ndl.idb_preds q in
   let domain =
@@ -1043,8 +931,8 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
   let renamed = ref 0 in
   Array.iter
     (function
-      | CStraight st -> if eval_straight env pool ~naive st then incr renamed
-      | CFixpoint fx -> eval_fixpoint env pool ~naive fx
+      | CStraight st -> if eval_straight env ~naive st then incr renamed
+      | CFixpoint fx -> eval_fixpoint env ~naive fx
       | CView v ->
         eval_view env v;
         incr renamed)
@@ -1099,9 +987,6 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
     Obs.set_int "eval.views" !renamed;
     Obs.count "eval.tuples_read" env.reads;
     plan_gauges program.cstrata;
-    (match pool with
-    | Some p when Pool.jobs p > 1 -> Obs.set_int "eval.workers" (Pool.jobs p)
-    | _ -> ());
     if Budget.is_limited budget then begin
       Obs.set_int "budget.steps" (Budget.steps_spent budget);
       Obs.set_int "budget.size" (Budget.size_spent budget)
@@ -1109,7 +994,7 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
   end;
   { answers; generated_tuples; tuples_read = env.reads; idb_relations }
 
-let run ?pool ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
+let run ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
     ?(edb = fun _ _ -> None) ?(extra_domain = []) ?explain q abox =
   if observe then
     let attrs =
@@ -1121,21 +1006,16 @@ let run ?pool ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
           | `Replan -> "replanned"
           | `Fresh | `Uncached -> "fresh"
       in
-      ("plan", plan_attr)
-      ::
-      (match pool with
-      | Some p when Pool.jobs p > 1 -> [ ("workers", string_of_int (Pool.jobs p)) ]
-      | _ -> [])
+      [ ("plan", plan_attr) ]
     in
     Obs.with_span ~attrs "eval.ndl" (fun () ->
-        run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+        run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
           ~explain q abox)
   else
-    run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
-      ~explain q abox
+    run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain ~explain q
+      abox
 
-let answers ?pool ?observe ?budget ?plan q abox =
-  (run ?pool ?observe ?budget ?plan q abox).answers
+let answers ?budget ?plan q abox = (run ?budget ?plan q abox).answers
 
 let boolean q abox =
   match (run q abox).answers with [] -> false | _ :: _ -> true

@@ -28,8 +28,7 @@
     {!Plan.t.est_out} over its clauses, capped at |ind(A)|{^ arity}, at
     {!Obda_data.Relation.max_capacity} rows and, under a size cap, at the
     size the budget has left; so an accurately estimated relation never
-    regrows, whether it is derived in place or merged from a worker
-    pool.  The estimate is kept with the cached plan and the caps take
+    regrows.  The estimate is kept with the cached plan and the caps take
     O(1), so a cached run builds no ⊤ for it.  Fixpoint strata and the
     [naive] engine start at the default size and grow by doubling.
 
@@ -62,8 +61,7 @@ type result = {
       (** Σ sizes of all IDB relations, as if every one were materialised:
           a view counts as the relation it renames *)
   tuples_read : int;
-      (** tuples delivered from relation storage and domain sweeps;
-          identical at every worker count *)
+      (** tuples delivered from relation storage and domain sweeps *)
   idb_relations : Relation.t Symbol.Map.t Lazy.t;
       (** every IDB predicate's relation, to read, built when forced: a
           view is then copied with its columns permuted, and a shared
@@ -85,7 +83,6 @@ val plan_cache : unit -> plan_cache
 (** A fresh, empty cache — typically one per prepared query. *)
 
 val run :
-  ?pool:Obda_runtime.Pool.t ->
   ?plan:plan_cache ->
   ?naive:bool ->
   ?observe:bool ->
@@ -110,24 +107,9 @@ val run :
     the run gets a line too, its clause followed by [  view] or
     [  shared]: [Gtw4(x1,x0) <- R*(x0,x1)  view].
 
-    [pool] enables the parallel driver: for every stratum of [Ndl.strata]
-    — and every round of a recursive stratum's fixpoint — clause bodies
-    are evaluated concurrently by the pool's workers (the first planned
-    atom's rows are partitioned across workers by row hash) and the
-    derived relations are merged at the stratum or round barrier.  Plans
-    are computed once per clause on the main domain, so workers know every
-    index position statically and perform pure reads of the shared
-    relations.  Answers are byte-identical to the sequential engine for
-    any worker count (relations are sets and the answer view is sorted).
-    Each worker runs under a [Budget.slice] of [budget], so step/size caps
-    and the wall deadline still bind globally (a budget error from a
-    worker reports its slice's limits).  A pool with one worker, or no
-    pool, is exactly the sequential engine.
-
     [observe = false] runs without touching the global telemetry sink or
-    the fault registry — required when the caller itself runs on a worker
-    domain (the service layer's BATCH path); those globals are
-    single-domain.
+    the fault registry, so a caller can time the engine alone (the
+    [micro] bench does).
 
     [budget] is checked on every matcher step (a budget step per visited
     search node, with the wall clock consulted every 1024 steps, and a
@@ -144,13 +126,11 @@ val run :
 
     ⊤ is built on demand, from {!Abox.individuals} (sorted already; only a
     non-empty [extra_domain] costs a sort): by the planner's statistics,
-    by a [Dom] step or an [Eq] step that binds both sides from ⊤, or
-    before the pool runs a clause with such a step.  A run on a cached
-    plan that has no such step does no work proportional to ind(A). *)
+    or by a [Dom] step or an [Eq] step that binds both sides from ⊤.  A
+    run on a cached plan that has no such step does no work proportional
+    to ind(A). *)
 
 val answers :
-  ?pool:Obda_runtime.Pool.t ->
-  ?observe:bool ->
   ?budget:Obda_runtime.Budget.t ->
   ?plan:plan_cache -> Ndl.query -> Abox.t -> Symbol.t list list
 (** The goal tuples of {!run} with the planner; the legacy baseline is

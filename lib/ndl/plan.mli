@@ -6,8 +6,8 @@
     when one is built, a domain-based estimate otherwise), greedily
     reorders the atoms to minimise the estimated intermediate result, and
     picks an access strategy per atom.  Plans are pure data: every probe
-    position is static, so the evaluator's parallel prepass can build
-    every index a plan needs before workers start. *)
+    position is static, so the evaluator compiles each step's checks and
+    bindings once, before it reads a row. *)
 
 open Obda_syntax
 

@@ -50,23 +50,6 @@ let sub_scaled ~factor b =
     max_size = Option.map scale b.max_size;
   }
 
-let slice ~parts b =
-  if parts < 1 then invalid_arg "Budget.slice: parts < 1";
-  let per limit = max 1 ((limit + parts - 1) / parts) in
-  {
-    b with
-    steps = 0;
-    size = 0;
-    max_steps = Option.map per b.max_steps;
-    max_size = Option.map per b.max_size;
-  }
-
-let absorb b ~from =
-  if b != none then begin
-    b.steps <- b.steps + from.steps;
-    b.size <- b.size + from.size
-  end
-
 let exhausted resource spent limit =
   raise (Error.Obda_error (Error.Budget_exhausted { resource; spent; limit }))
 

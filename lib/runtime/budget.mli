@@ -45,20 +45,6 @@ val sub_scaled : factor:float -> t -> t
     never extend the request's total time allowance.  Raises
     [Invalid_argument] when [factor < 1]. *)
 
-val slice : parts:int -> t -> t
-(** A per-worker share of a budget: the step and size limits are divided by
-    [parts] (rounded up, floor 1), the counters restart from zero, and the
-    absolute wall-clock deadline is shared verbatim — so [parts] slices
-    running concurrently are bounded, in aggregate, by (approximately) the
-    parent's limits and exactly by its deadline.  Raises [Invalid_argument]
-    when [parts < 1]. *)
-
-val absorb : t -> from:t -> unit
-(** Add the step and size counters spent in [from] (a slice or sub-budget)
-    back into the parent, without enforcing the parent's limits — for
-    reporting, so [steps_spent]/[size_spent] on the parent reflect work done
-    by workers.  A no-op on {!none} (which is shared). *)
-
 val step : t -> unit
 (** Count one unit of work; raises [Budget_exhausted] when the step budget
     is spent or (checked every 1024 steps) the deadline has passed. *)

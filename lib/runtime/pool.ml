@@ -1,10 +1,9 @@
 (* A small reusable pool of worker domains.
 
-   Spawning a domain costs tens of microseconds, far too much to pay per
-   evaluation stratum, so the pool keeps [jobs - 1] domains parked on a
-   condition variable and reuses them across [run] calls.  The caller
-   participates as worker 0, which keeps [jobs = 1] exactly the sequential
-   engine: no domains are spawned and [run t f] is just [f 0]. *)
+   The pool keeps [jobs - 1] domains parked on a condition variable and
+   reuses them across [run] calls.  The caller participates as worker 0,
+   so with [jobs = 1] no domains are spawned and [run t f] is just
+   [f 0]. *)
 
 type cell =
   | Idle

@@ -1,21 +1,19 @@
-(** A reusable pool of worker domains for data-parallel evaluation.
+(** A reusable pool of worker domains.  The network server
+    ({!Obda_service.Server}) runs its accept loop and connection workers
+    on one.
 
     A pool of [jobs] workers keeps [jobs - 1] domains parked between calls;
     the calling domain participates as worker 0.  With [jobs = 1] no
-    domains exist at all and {!run} degenerates to a plain call — the
-    guarantee behind "[--jobs 1] is byte-identical to the sequential
-    engine".
+    domains exist at all and {!run} degenerates to a plain call.
 
     The pool makes no scheduling decisions: {!run} hands every worker its
-    index and the caller is responsible for partitioning the work (the NDL
-    evaluator hash-partitions the facts of each clause's first body atom).
+    index and the caller is responsible for partitioning the work.
 
     The symbol interner and the telemetry sink are mutex-guarded, so
     worker bodies may intern and observe (the network server's connection
     workers do both).  The fault registry's activation counters are still
     single-domain: deterministic fault plans require sequential request
-    execution, and the evaluator keeps [observe:false] inside workers so
-    per-clause counters stay exact. *)
+    execution. *)
 
 type t
 

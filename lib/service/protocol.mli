@@ -26,8 +26,7 @@ type request =
   | Prepare of { name : string; algorithm : Omq.algorithm option; cq : string }
   | Answer of string
   | Batch of string list
-      (** prepared query names, answered in one request — concurrently
-          when the session has [jobs > 1] *)
+      (** prepared query names, answered in one request, in order *)
   | Assert_facts of string  (** unparsed fact text, one or more facts *)
   | Retract_facts of string
   | Stats

@@ -7,11 +7,9 @@ module Abox = Obda_data.Abox
 module Ndl = Obda_ndl.Ndl
 module Parse = Obda_parse.Parse
 module Symbol = Obda_syntax.Symbol
-module Eval = Obda_ndl.Eval
 module Budget = Obda_runtime.Budget
 module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
-module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 module Histogram = Obda_obs.Histogram
 module Exposition = Obda_obs.Exposition
@@ -137,68 +135,32 @@ let exec ?budget session (req : Protocol.request) =
     in
     (* resolve every name before evaluating anything, so an unknown name
        fails the whole request without spending evaluation budget *)
-    let work = Array.of_list (List.map lookup names) in
-    let n = Array.length work in
+    let work = List.map lookup names in
     (* one frozen revision for the whole batch: every query of the request
        sees the same data, whatever concurrent writers do *)
     let snap = Session.freeze session in
-    let consistent = Session.consistent_at session snap in
-    let abox = Session.snapshot_abox snap in
-    (* one sub-allowance per query (the wall deadline stays shared), taken
-       on the calling domain before any worker starts *)
-    let budgets =
-      Array.map (fun _ -> Option.map Budget.sub budget) work
+    let results =
+      List.map
+        (fun (_, p) ->
+          (* one sub-allowance per query; the wall deadline stays shared *)
+          let budget = Option.map Budget.sub budget in
+          let t0 = Unix.gettimeofday () in
+          let answers = Session.answer_at ?budget session p snap in
+          Histogram.record h_batch_query (Unix.gettimeofday () -. t0);
+          answers)
+        work
     in
-    let results = Array.make n [] in
-    (* evaluates query [i] and returns its latency *)
-    let eval_one ~observe i =
-      let _, p = work.(i) in
-      let t0 = Unix.gettimeofday () in
-      results.(i) <-
-        (if not consistent then Omq.all_tuples abox (Prepared.arity p)
-         else
-           Eval.answers ~observe ?budget:budgets.(i) (Prepared.rewriting p)
-             abox);
-      Unix.gettimeofday () -. t0
-    in
-    (match Session.pool session with
-    | Some pool when Pool.jobs pool > 1 && not (Fault.armed ()) ->
-      (* queries round-robin across workers; [observe:false] because the
-         telemetry sink and fault registry are single-domain.  An armed
-         fault plan forces the sequential path so activation counts stay
-         deterministic. *)
-      let jobs = Pool.jobs pool in
-      let outcomes = Array.make n (Ok 0.) in
-      Pool.run pool (fun w ->
-          let i = ref w in
-          while !i < n do
-            outcomes.(!i) <-
-              (try Ok (eval_one ~observe:false !i) with e -> Error e);
-            i := !i + jobs
-          done);
-      (* all queries ran to completion: record their latencies here, on
-         the calling domain, then report the first failure by batch
-         position, matching the sequential path's first-error semantics *)
-      Array.iter
-        (function Ok d -> Histogram.record h_batch_query d | Error _ -> ())
-        outcomes;
-      Array.iter (function Error e -> raise e | Ok _ -> ()) outcomes
-    | _ ->
-      for i = 0 to n - 1 do
-        Histogram.record h_batch_query (eval_one ~observe:true i)
-      done);
-    Printf.sprintf "OK batch=%d" n
+    Printf.sprintf "OK batch=%d" (List.length work)
     :: List.concat
-         (List.mapi
-            (fun i (name, p) ->
-              let answers = results.(i) in
+         (List.map2
+            (fun (name, p) answers ->
               if Prepared.arity p = 0 then
                 [ Printf.sprintf "OK name=%s boolean=%b" name (answers <> []) ]
               else
                 Printf.sprintf "OK name=%s answers=%d" name
                   (List.length answers)
                 :: List.map tuple_string answers)
-            (Array.to_list work))
+            work results)
   | Protocol.Assert_facts text ->
     (* parse outside the session lock; apply atomically, so a concurrent
        freeze sees all of this request's facts or none of them *)

@@ -83,10 +83,6 @@ let create ?(connections = 4) ?(backlog = 16) ?max_inflight ?idle_timeout
     address session =
   if connections < 1 then invalid_arg "Server.create: connections < 1";
   if backlog < 1 then invalid_arg "Server.create: backlog < 1";
-  if Session.jobs session <> 1 then
-    invalid_arg
-      "Server.create: session must have jobs = 1 (the server parallelises \
-       across connections)";
   let max_inflight = Option.value max_inflight ~default:connections in
   if max_inflight < 0 then invalid_arg "Server.create: max_inflight < 0";
   let listener, unlink =

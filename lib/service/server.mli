@@ -3,10 +3,10 @@
 
     Concurrency model — one domain pool of [connections + 1] workers:
     worker 0 accepts, the others each drive one connection's serve loop.
-    The shared session must have [jobs = 1] (enforced by {!create}); the
-    server gets its parallelism across connections, and every [ANSWER] /
-    [BATCH] evaluates against a copy-on-write {!Session.freeze} snapshot,
-    so writers on other connections never tear an answer set.
+    The server gets its parallelism across connections, and every
+    [ANSWER] / [BATCH] evaluates against a copy-on-write
+    {!Session.freeze} snapshot, so writers on other connections never
+    tear an answer set.
 
     Robustness:
     - {b Admission control} — at most [max_inflight] requests execute at
@@ -49,9 +49,8 @@ val create :
     [max_inflight] (default [connections]) bounds concurrently executing
     requests; [idle_timeout] is in seconds (default: none).  [Tcp (host, 0)]
     binds an ephemeral port — read it back with {!address}.  Raises
-    [Invalid_argument] on a [jobs <> 1] session or nonsensical bounds,
-    and [Unix.Unix_error] when binding fails (stale socket file, port in
-    use). *)
+    [Invalid_argument] on nonsensical bounds, and [Unix.Unix_error] when
+    binding fails (stale socket file, port in use). *)
 
 val run : ?on_drain:(unit -> unit) -> t -> int
 (** Serve until {!request_stop}.  Installs the STATS hook (see

@@ -18,7 +18,6 @@ module Parse = Obda_parse.Parse
 module Budget = Obda_runtime.Budget
 module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
-module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 
 type t = {
@@ -34,9 +33,6 @@ type t = {
   prepared : (string, Prepared.t) Hashtbl.t;
   cache : Cache.t;
   budget : Budget.t;
-  jobs : int;
-  mutable pool : Pool.t option;
-      (* created on first use so a [--jobs 1] session never spawns domains *)
   mutable requests : int;
   mutable frozen_span : (int * int) option;
       (* min/max ABox revision ever served through [freeze] *)
@@ -58,9 +54,7 @@ let with_lock t f =
     Mutex.unlock t.lock;
     raise e
 
-let create ?(budget = Budget.none) ?cache_entries ?cache_weight ?(jobs = 1) ()
-    =
-  if jobs < 1 then invalid_arg "Session.create: jobs < 1";
+let create ?(budget = Budget.none) ?cache_entries ?cache_weight () =
   {
     lock = Mutex.create ();
     tbox = None;
@@ -70,8 +64,6 @@ let create ?(budget = Budget.none) ?cache_entries ?cache_weight ?(jobs = 1) ()
     prepared = Hashtbl.create 16;
     cache = Cache.create ?max_entries:cache_entries ?max_weight:cache_weight ();
     budget;
-    jobs;
-    pool = None;
     requests = 0;
     frozen_span = None;
     stats_hook = None;
@@ -83,22 +75,7 @@ let budget t = t.budget
 let cache t = t.cache
 let tbox t = t.tbox
 let abox t = t.abox
-let jobs t = t.jobs
-
-let pool t =
-  if t.jobs <= 1 then None
-  else
-    with_lock t (fun () ->
-        match t.pool with
-        | Some _ as p -> p
-        | None ->
-          let p = Pool.create ~jobs:t.jobs in
-          t.pool <- Some p;
-          Some p)
-
-let close t =
-  let p = with_lock t (fun () -> let p = t.pool in t.pool <- None; p) in
-  match p with Some p -> Pool.shutdown p | None -> ()
+let close (_ : t) = ()
 
 let count_request t = with_lock t (fun () -> t.requests <- t.requests + 1)
 let requests t = t.requests
@@ -273,8 +250,8 @@ let prepared_names t =
 let answer_at ?budget t p s =
   if not (consistent_at t s) then Omq.all_tuples s.sdata (Prepared.arity p)
   else
-    Eval.answers ?pool:(pool t) ?budget ~plan:(Prepared.plan p)
-      (Prepared.rewriting p) s.sdata
+    Eval.answers ?budget ~plan:(Prepared.plan p) (Prepared.rewriting p)
+      s.sdata
 
 let answer ?budget t p = answer_at ?budget t p (freeze t)
 
@@ -302,7 +279,6 @@ let stats t =
         in
         ( [
             ("requests", string_of_int t.requests);
-            ("jobs", string_of_int t.jobs);
             ("ontology.loaded", if t.tbox = None then "no" else "yes");
             ( "ontology.axioms",
               match t.tbox with

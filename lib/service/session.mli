@@ -22,32 +22,19 @@ val create :
   ?budget:Obda_runtime.Budget.t ->
   ?cache_entries:int ->
   ?cache_weight:int ->
-  ?jobs:int ->
   unit -> t
 (** A fresh session with an empty ABox and no ontology.  [budget] is the
     session-wide resource envelope ({!budget}); [cache_entries] /
-    [cache_weight] bound the rewriting cache.  [jobs] (default 1) is the
-    evaluation parallelism: with [jobs > 1] a worker {!Obda_runtime.Pool}
-    is created on first use and every {!answer} (and the serve loop's
-    [BATCH] verb) evaluates on it — answers are byte-identical to
-    [jobs = 1].  The network server requires [jobs = 1] (it parallelises
-    across connections instead; the pool's [run] is not reentrant).
-    Raises [Invalid_argument] when [jobs < 1]. *)
+    [cache_weight] bound the rewriting cache. *)
 
 val budget : t -> Obda_runtime.Budget.t
 val cache : t -> Cache.t
 val tbox : t -> Obda_ontology.Tbox.t option
 val abox : t -> Obda_data.Abox.t
 
-val jobs : t -> int
-
-val pool : t -> Obda_runtime.Pool.t option
-(** The session's worker pool — [None] for a [jobs = 1] session, otherwise
-    created (once) on first call. *)
-
 val close : t -> unit
-(** Shut down the worker pool, if one was created.  The session remains
-    usable: the next {!pool} call recreates it.  Idempotent. *)
+(** Does nothing: a session holds no resource that needs releasing.  Kept
+    for the benchmark harness, which calls it. *)
 
 val count_request : t -> unit
 val requests : t -> int

@@ -451,7 +451,6 @@ let server_case site_name =
     (site_name ^ ": graceful stop after the fault")
     (!code = 0)
     (Printf.sprintf "run returned %d" !code);
-  Session.close session;
   site_name
 
 (* The durability sites.  [wal.append] and [wal.sync] guard the mutation
@@ -527,7 +526,6 @@ let wal_mutation_case site_name =
     (site_name ^ ": recovery equals the acknowledged state")
     (facts_key recovered.Wal.abox = live)
     "recovered store differs from the live one";
-  Session.close session;
   site_name
 
 (* [wal.recover] guards the recovery entry point: the injected fault is a

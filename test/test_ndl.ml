@@ -254,18 +254,10 @@ let test_star_linear () =
     [ [ "c1" ] ]
     (show_tuples (Eval.answers starred a))
 
-(* Satellite regression tests for the CPred binding/undo paths: every case
-   is checked sequentially and under a 4-worker pool, and the two runs must
-   agree tuple for tuple (the parallel driver partitions the first body
-   atom's search space, so these shapes exercise every partition scheme). *)
-let check_seq_par msg q a expected =
-  let seq = show_tuples (Eval.answers q a) in
-  let par =
-    Obda_runtime.Pool.with_pool ~jobs:4 (fun pool ->
-        show_tuples (Eval.answers ~pool q a))
-  in
-  Alcotest.(check (list (list string))) (msg ^ " (sequential)") expected seq;
-  Alcotest.(check (list (list string))) (msg ^ " (4 workers)") expected par
+(* Satellite regression tests for the CPred binding/undo paths. *)
+let check_answers msg q a expected =
+  Alcotest.(check (list (list string))) msg expected
+    (show_tuples (Eval.answers q a))
 
 let test_repeated_vars_in_atom () =
   (* R(x,x): the second occurrence of x is bound when the first position
@@ -278,7 +270,7 @@ let test_repeated_vars_in_atom () =
     abox_of_facts
       [ `B ("R", "a", "a"); `B ("R", "a", "b"); `B ("R", "b", "a"); `B ("R", "c", "c") ]
   in
-  check_seq_par "diagonal only" q a [ [ "a" ]; [ "c" ] ];
+  check_answers "diagonal only" q a [ [ "a" ]; [ "c" ] ];
   (* the failed R(a,b) probe must not leave x bound: a second atom over the
      same variable still enumerates freely *)
   let q2 =
@@ -290,7 +282,7 @@ let test_repeated_vars_in_atom () =
         };
       ]
   in
-  check_seq_par "binding undone after mismatch" q2 a
+  check_answers "binding undone after mismatch" q2 a
     [ [ "a"; "a" ]; [ "a"; "b" ]; [ "c"; "c" ] ]
 
 let test_constants_at_indexed_positions () =
@@ -313,7 +305,7 @@ let test_constants_at_indexed_positions () =
         `B ("R", "a", "b"); `B ("R", "c", "z"); `B ("R", "d", "b"); `B ("R", "d", "z");
       ]
   in
-  check_seq_par "constant at indexed position" q a [ [ "a" ]; [ "d" ] ];
+  check_answers "constant at indexed position" q a [ [ "a" ]; [ "d" ] ];
   (* constants in the leading atom: the first-atom partition filter must
      still see every matching tuple exactly once *)
   let q2 =
@@ -325,7 +317,7 @@ let test_constants_at_indexed_positions () =
         };
       ]
   in
-  check_seq_par "constant in leading atom" q2 a [ [ "b" ]; [ "z" ] ]
+  check_answers "constant in leading atom" q2 a [ [ "b" ]; [ "z" ] ]
 
 let test_unbound_unbound_eq_sweep () =
   (* x = y with both sides unbound sweeps the active domain; the parallel
@@ -340,13 +332,13 @@ let test_unbound_unbound_eq_sweep () =
       ]
   in
   let a = abox_of_facts [ `U ("A", "a"); `U ("A", "b"); `U ("B", "c") ] in
-  check_seq_par "unbound-unbound Eq sweep" q a [ [ "a"; "a" ]; [ "b"; "b" ] ];
+  check_answers "unbound-unbound Eq sweep" q a [ [ "a"; "a" ]; [ "b"; "b" ] ];
   (* x = x: one variable, still a domain sweep, each constant once *)
   let q2 =
     Ndl.make ~goal:(sym "G17") ~goal_args:[ "x" ]
       [ { Ndl.head = (sym "G17", [ v "x" ]); body = [ Ndl.Eq (v "x", v "x") ] } ]
   in
-  check_seq_par "x = x sweeps the domain once" q2 a
+  check_answers "x = x sweeps the domain once" q2 a
     [ [ "a" ]; [ "b" ]; [ "c" ] ]
 
 (* Recursion is supported now: a recursive stratum runs a semi-naïve
@@ -402,12 +394,6 @@ let test_recursive_fixpoint () =
   (* answers come back sorted by symbol id, which depends on global intern
      order; pin byte-identity across engines and set equality by name *)
   let seq = show_tuples (Eval.answers tc a) in
-  let par =
-    Obda_runtime.Pool.with_pool ~jobs:4 (fun pool ->
-        show_tuples (Eval.answers ~pool tc a))
-  in
-  Alcotest.(check (list (list string)))
-    "4 workers byte-identical to sequential" seq par;
   Alcotest.(check (list (list string)))
     "naive fixpoint byte-identical" seq
     (show_tuples (Eval.run ~naive:true tc a).Eval.answers);
@@ -455,12 +441,6 @@ let test_mutual_recursion () =
       ]
   in
   let seq = show_tuples (Eval.answers q a) in
-  let par =
-    Obda_runtime.Pool.with_pool ~jobs:4 (fun pool ->
-        show_tuples (Eval.answers ~pool q a))
-  in
-  Alcotest.(check (list (list string)))
-    "4 workers byte-identical to sequential" seq par;
   Alcotest.(check (list (list string)))
     "naive fixpoint byte-identical" seq
     (show_tuples (Eval.run ~naive:true q a).Eval.answers);
@@ -522,16 +502,7 @@ let test_planner_reorders () =
     (show_tuples naive.Eval.answers)
     (show_tuples planned.Eval.answers);
   check "reorder reads strictly fewer tuples" true
-    (planned.Eval.tuples_read < naive.Eval.tuples_read);
-  let par =
-    Obda_runtime.Pool.with_pool ~jobs:4 (fun pool -> Eval.run ~pool q a)
-  in
-  Alcotest.(check (list (list string)))
-    "answers identical under 4 workers"
-    (show_tuples planned.Eval.answers)
-    (show_tuples par.Eval.answers);
-  check_int "tuples_read identical under 4 workers" planned.Eval.tuples_read
-    par.Eval.tuples_read
+    (planned.Eval.tuples_read < naive.Eval.tuples_read)
 
 (* Pinned cost-model behaviour on synthetic statistics: greedy reorder,
    index probes for large maintained relations, hash joins for transient
@@ -839,10 +810,6 @@ let test_eval_leaves_abox_relations () =
         "naive agrees" expected (show_tuples naive.Eval.answers);
       check_int "naive counts the same tuples" naive.Eval.generated_tuples
         planned.Eval.generated_tuples;
-      Obda_runtime.Pool.with_pool ~jobs:2 (fun pool ->
-          Alcotest.(check (list (list string)))
-            "two workers agree" expected
-            (show_tuples (Eval.answers ~pool q a)));
       (* forcing and reading the relations handed out, shared ones
          included, changes nothing either *)
       Symbol.Map.iter
@@ -932,8 +899,7 @@ let test_renamings_in_place () =
    estimate.  A cross product is estimated exactly, so the goal's relation
    ends with the buffer and the row set it was created with: 120 rows of
    3, and 256 slots, the smallest power of two holding 120 rows at load
-   1/2, whether it is derived in place or merged from two workers.  The
-   naive engine starts at 8 rows and doubles its buffer to 128.
+   1/2.  The naive engine starts at 8 rows and doubles its buffer to 128.
    Under a size cap the allowance left bounds the size: [Hh(x) <- Rh(x,y)]
    is planned at 100 rows and holds one, then [Gh] at 100 and holds one,
    so a cap of 10 sizes [Hh] at 10 rows and [Gh] at the 9 left. *)
@@ -953,20 +919,14 @@ let test_planned_capacity () =
         };
       ]
   in
-  let relation ?naive ?pool q a name =
-    let r = Eval.run ?naive ?pool q a in
+  let relation ?naive q a name =
+    let r = Eval.run ?naive q a in
     Symbol.Map.find (sym name) (Lazy.force r.Eval.idb_relations)
   in
   let g = relation q a "Gcap" in
   check_int "120 rows" 120 g.Relation.size;
   check_int "buffer as created: 120 rows" (120 * 3) (Array.length g.data);
   check_int "row set as created: 256 slots" 256 (Array.length g.rows);
-  let gp =
-    Obda_runtime.Pool.with_pool ~jobs:2 (fun pool -> relation ~pool q a "Gcap")
-  in
-  check_int "2 workers: same rows" 120 gp.size;
-  check_int "2 workers: merged into 120 rows" (120 * 3) (Array.length gp.data);
-  check_int "2 workers: into 256 slots" 256 (Array.length gp.rows);
   let gn = relation ~naive:true q a "Gcap" in
   check_int "naive: same rows" 120 gn.size;
   check_int "naive: buffer doubled from 8 rows" (128 * 3) (Array.length gn.data);

@@ -741,7 +741,7 @@ let test_generate_default_seed () =
   check "the seed actually matters" true (gen () <> gen ~seed:43 ())
 
 (* ------------------------------------------------------------------ *)
-(* The worker pool and per-worker budget slices *)
+(* The worker pool *)
 
 module Pool = Obda_runtime.Pool
 
@@ -793,36 +793,6 @@ let test_pool_propagates_failure () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_budget_slice () =
-  let b = Budget.create ~max_steps:10 ~max_size:7 () in
-  Budget.step b;
-  (* ceil(10/4) = 3 steps, ceil(7/4) = 2 size per slice *)
-  let s = Budget.slice ~parts:4 b in
-  check "slice counters restart" true
-    (Budget.steps_spent s = 0 && Budget.size_spent s = 0);
-  check "slice step limit is ceil(limit/parts)" true
-    (Budget.steps_remaining s = Some 3);
-  check "slice size limit is ceil(limit/parts)" true
-    (Budget.size_remaining s = Some 2);
-  check "parts below one rejected" true
-    (match Budget.slice ~parts:0 b with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* a slice of an unlimited budget stays unlimited *)
-  let u = Budget.slice ~parts:8 Budget.none in
-  check "slice of none is unlimited" true (not (Budget.is_limited u));
-  (* absorb adds worker spend back for reporting, without enforcing *)
-  Budget.step s;
-  Budget.step s;
-  Budget.grow s;
-  Budget.absorb b ~from:s;
-  check_int "absorb accumulates steps" 3 (Budget.steps_spent b);
-  check_int "absorb accumulates size" 1 (Budget.size_spent b);
-  (* absorbing into the shared [none] must not mutate it *)
-  let before = Budget.steps_spent Budget.none in
-  Budget.absorb Budget.none ~from:s;
-  check_int "absorb into none is a no-op" before (Budget.steps_spent Budget.none)
-
 (* [Budget.charge] counts steps and size in bulk, binds both caps, and
    reads the wall clock exactly when the step count passes a multiple of
    1024, as the same number of single steps would. *)
@@ -869,15 +839,6 @@ let test_budget_charge () =
     (outcome (fun () -> Budget.charge b 2) = Some (Error.Size, 7, 5));
   check "unlimited budgets never raise" true
     (outcome (fun () -> Budget.charge (Budget.create ()) 1_000_000) = None)
-
-let test_slice_shares_deadline () =
-  let b = Budget.create ~timeout:0.02 () in
-  let s = Budget.slice ~parts:2 b in
-  Unix.sleepf 0.03;
-  check "slice shares the absolute deadline" true
-    (match Budget.check_deadline s with
-    | exception Error.Obda_error (Error.Budget_exhausted _) -> true
-    | () -> false)
 
 let suites =
   [
@@ -931,8 +892,5 @@ let suites =
           test_pool_single_job_is_inline;
         Alcotest.test_case "pool failure propagation" `Quick
           test_pool_propagates_failure;
-        Alcotest.test_case "budget slices" `Quick test_budget_slice;
-        Alcotest.test_case "slice deadline shared" `Quick
-          test_slice_shares_deadline;
       ] );
   ]

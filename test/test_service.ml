@@ -335,8 +335,8 @@ let test_serve_every_verb () =
             (first (exec "RETRACT A(c)"));
           (match exec "STATS" with
           | status :: kvs ->
-            check_str "stats status" "OK stats=14" status;
-            check "stats payload lines" true (List.length kvs = 14)
+            check_str "stats status" "OK stats=13" status;
+            check "stats payload lines" true (List.length kvs = 13)
           | [] -> Alcotest.fail "no stats response");
           (* boolean query *)
           ignore (exec "PREPARE b q() <- A(x)");
@@ -364,7 +364,7 @@ let test_serve_err_leaves_session_usable () =
   (* the session survives: requests that fit the per-request allowance
      still succeed (each request gets a FRESH sub-budget) *)
   let lines, _ = Serve.handle_line s "STATS" in
-  check_str "stats after failed request" "OK stats=14" (first lines);
+  check_str "stats after failed request" "OK stats=13" (first lines);
   (* parse errors in payloads are in-protocol too *)
   let lines, _ = Serve.handle_line s "ASSERT A(" in
   check_str "payload parse error" "parse" (err_class (first lines));
@@ -464,24 +464,18 @@ let test_protocol_batch () =
   check "BATCH without names is an error" true
     (match Protocol.parse "BATCH" with Error _ -> true | _ -> false)
 
-(* One session per worker count: prepare two queries (one boolean), read
-   their individual ANSWER responses, and require the BATCH response to be
-   exactly "OK batch=N" followed by those responses retagged with
-   "name=..." — in request order, byte for byte, sequential or pooled. *)
+(* Prepare two queries (one boolean), read their individual ANSWER
+   responses, and require the BATCH response to be exactly "OK batch=N"
+   followed by those responses retagged with "name=..." — in request
+   order, byte for byte. *)
 let test_serve_batch_matches_individual () =
-  let run jobs =
-    let s = Session.create ~jobs () in
-    Fun.protect
-      ~finally:(fun () -> Session.close s)
-      (fun () ->
-        Session.load_ontology s (tbox ());
-        Session.load_data s (abox ());
-        ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
-        ignore (Serve.handle_line s "PREPARE qb q() <- R(x,y)");
-        let individual name = fst (Serve.handle_line s ("ANSWER " ^ name)) in
-        let q1 = individual "q1" and qb = individual "qb" in
-        (fst (Serve.handle_line s "BATCH q1 qb q1"), q1, qb))
-  in
+  let s = Session.create () in
+  Session.load_ontology s (tbox ());
+  Session.load_data s (abox ());
+  ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
+  ignore (Serve.handle_line s "PREPARE qb q() <- R(x,y)");
+  let individual name = fst (Serve.handle_line s ("ANSWER " ^ name)) in
+  let q1 = individual "q1" and qb = individual "qb" in
   let retag name = function
     | status :: tuples
       when String.length status > 3 && String.sub status 0 3 = "OK " ->
@@ -490,14 +484,10 @@ let test_serve_batch_matches_individual () =
       :: tuples
     | other -> other
   in
-  List.iter
-    (fun jobs ->
-      let batch, q1, qb = run jobs in
-      Alcotest.(check (list string))
-        (Printf.sprintf "batch at jobs=%d matches individual answers" jobs)
-        (("OK batch=3" :: retag "q1" q1) @ retag "qb" qb @ retag "q1" q1)
-        batch)
-    [ 1; 2 ]
+  Alcotest.(check (list string))
+    "batch matches individual answers"
+    (("OK batch=3" :: retag "q1" q1) @ retag "qb" qb @ retag "q1" q1)
+    (fst (Serve.handle_line s "BATCH q1 qb q1"))
 
 let test_serve_batch_errors () =
   let s = Session.create () in
@@ -512,42 +502,58 @@ let test_serve_batch_errors () =
   check_str "session still answers" "OK batch=1"
     (first (fst (Serve.handle_line s "BATCH q1")))
 
-let test_serve_batch_fault_armed_forces_sequential () =
-  (* with a pool, batch queries run on worker domains with telemetry off;
-     an armed fault plan must force the sequential observed path so
-     activation counts stay deterministic *)
-  let s = Session.create ~jobs:2 () in
-  Fun.protect
-    ~finally:(fun () -> Session.close s)
-    (fun () ->
-      Session.load_ontology s (tbox ());
-      Session.load_data s (abox ());
-      ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
-      check "consistency settled before collecting" true (Session.consistent s);
-      let eval_spans f =
-        let (), coll = Obs.collecting f in
-        List.length
-          (List.filter
-             (fun (sp : Obs.span) -> sp.Obs.name = "eval.ndl")
-             (Obs.Collector.spans coll))
-      in
-      let pooled =
-        eval_spans (fun () -> ignore (Serve.handle_line s "BATCH q1 q1"))
-      in
-      check_int "pooled batch keeps workers off the global sink" 0 pooled;
-      match Fault.parse_plan "service.request@999" with
-      | Error e -> Alcotest.fail e
-      | Ok plan ->
-        Fault.arm plan;
-        Fun.protect ~finally:Fault.disarm (fun () ->
-            let sequential =
-              eval_spans (fun () -> ignore (Serve.handle_line s "BATCH q1 q1"))
-            in
-            check_int "armed plan forces the observed sequential path" 2
-              sequential))
+(* Under an armed fault plan a BATCH still evaluates its queries in
+   request order, each under an observed eval.ndl span, so activation
+   counts follow from the request alone: a plan that never fires leaves
+   the response as it is unarmed, and one that selects the second query's
+   first evaluation round fails the whole request in-protocol, fires
+   exactly once, and leaves the session answering. *)
+let test_serve_batch_fault_armed () =
+  let s = Session.create () in
+  Session.load_ontology s (tbox ());
+  Session.load_data s (abox ());
+  ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
+  check "consistency settled before collecting" true (Session.consistent s);
+  let unarmed = fst (Serve.handle_line s "BATCH q1 q1") in
+  let armed spec f =
+    match Fault.parse_plan spec with
+    | Error e -> Alcotest.fail e
+    | Ok plan ->
+      Fault.arm plan;
+      Fun.protect ~finally:Fault.disarm f
+  in
+  let rounds =
+    armed "eval.ndl.round@999" (fun () ->
+        let lines, coll =
+          Obs.collecting (fun () -> fst (Serve.handle_line s "BATCH q1 q1"))
+        in
+        Alcotest.(check (list string))
+          "an unfired plan leaves the response" unarmed lines;
+        check_int "one observed eval.ndl span per query" 2
+          (List.length
+             (List.filter
+                (fun (sp : Obs.span) -> sp.name = "eval.ndl")
+                (Obs.Collector.spans coll)));
+        Fault.activations Fault.eval_ndl_round)
+  in
+  check "both queries run the same rounds" true (rounds > 0 && rounds mod 2 = 0);
+  let second = (rounds / 2) + 1 in
+  armed (Printf.sprintf "eval.ndl.round@%d" second) (fun () ->
+      let lines, stop = Serve.handle_line s "BATCH q1 q1" in
+      check "the fault is in-protocol" false stop;
+      check_int "one response line" 1 (List.length lines);
+      check_str "the fault's class" "budget" (err_class (first lines));
+      Alcotest.(check (list (pair string int)))
+        "fired once, in the second query"
+        [ ("eval.ndl.round", second) ]
+        (List.map (fun (site, n) -> (Fault.site_name site, n)) (Fault.fired ())));
+  Alcotest.(check (list string))
+    "a fault-free rerun answers as before" unarmed
+    (fst (Serve.handle_line s "BATCH q1 q1"))
 
-(* Every query of a BATCH is timed into serve.batch.query.latency, on the
-   pooled path as on the sequential one. *)
+(* Every query of a BATCH is timed into serve.batch.query.latency and
+   evaluated under an eval.ndl span of its own, on the plans its prepared
+   query caches, as ANSWER is: the second run of q1 reuses the first's. *)
 let test_serve_batch_query_latency () =
   let module Histogram = Obda_obs.Histogram in
   let prev = Histogram.recording () in
@@ -558,22 +564,25 @@ let test_serve_batch_query_latency () =
        (Histogram.registered ~scale:1e9 "serve.batch.query.latency"))
       .Histogram.total
   in
-  List.iter
-    (fun jobs ->
-      let s = Session.create ~jobs () in
-      Fun.protect
-        ~finally:(fun () -> Session.close s)
-        (fun () ->
-          Session.load_ontology s (tbox ());
-          Session.load_data s (abox ());
-          ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
-          let before = count () in
-          check_str "batch answered" "OK batch=2"
-            (first (fst (Serve.handle_line s "BATCH q1 q1")));
-          check_int
-            (Printf.sprintf "jobs=%d: one latency per query" jobs)
-            (before + 2) (count ())))
-    [ 1; 2 ]
+  let s = Session.create () in
+  Session.load_ontology s (tbox ());
+  Session.load_data s (abox ());
+  ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
+  check "consistency settled before collecting" true (Session.consistent s);
+  let before = count () in
+  let lines, coll =
+    Obs.collecting (fun () -> fst (Serve.handle_line s "BATCH q1 q1"))
+  in
+  check_str "batch answered" "OK batch=2" (first lines);
+  check_int "one latency per query" (before + 2) (count ());
+  Alcotest.(check (list string))
+    "one eval.ndl span per query, planned once" [ "fresh"; "cached" ]
+    (List.filter_map
+       (fun (sp : Obs.span) ->
+         if sp.name = "eval.ndl" then Some (sp.id, List.assoc "plan" sp.attrs)
+         else None)
+       (Obs.Collector.spans coll)
+    |> List.sort compare |> List.map snd)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and the stats hook *)
@@ -601,10 +610,10 @@ let test_session_freeze_isolation () =
 
 let test_session_stats_hook () =
   let s = Session.create () in
-  check_int "plain session: exactly 14 rows" 14 (List.length (Session.stats s));
+  check_int "plain session: exactly 13 rows" 13 (List.length (Session.stats s));
   Session.set_stats_hook s (fun () -> [ ("x.one", "1"); ("x.two", "2") ]);
   let rows = Session.stats s in
-  check_int "hook rows appended" 16 (List.length rows);
+  check_int "hook rows appended" 15 (List.length rows);
   check_str "base rows first" "requests" (fst (List.hd rows));
   check_str "hook rows last" "x.two" (fst (List.hd (List.rev rows)))
 
@@ -765,8 +774,7 @@ let with_server ?connections ?backlog ?max_inflight ?idle_timeout f =
   Fun.protect
     ~finally:(fun () ->
       Server.stop server;
-      Thread.join t;
-      Session.close session)
+      Thread.join t)
     (fun () -> f address server)
 
 let starts_with prefix s = String.starts_with ~prefix s
@@ -785,7 +793,7 @@ let test_server_end_to_end () =
         (first (Client.request c "ASSERT A(c)"));
       (match Client.request c "STATS" with
       | status :: rows ->
-        check_str "stats with the server rows" "OK stats=25" status;
+        check_str "stats with the server rows" "OK stats=24" status;
         check "snapshot-span row present" true
           (List.exists (starts_with "server.snapshot.revisions ") rows);
         check "shed counter present and zero" true
@@ -881,8 +889,7 @@ let test_server_graceful_stop () =
   Thread.join t;
   check_int "run returns the requested code" 143 !code;
   check "socket path unlinked on the way out" false (Sys.file_exists path);
-  Client.close c;
-  Session.close session
+  Client.close c
 
 (* METRICS: the Prometheus-text exposition must announce its own line
    count, parse line by line, and keep every histogram family internally
@@ -981,8 +988,7 @@ let test_metrics_roundtrip () =
     (* the ANSWER latencies we just recorded are in there *)
     (match Hashtbl.find_opt counts "obda_serve_answer_latency" with
     | Some c -> check "answer latency count >= 2" true (c >= 2.)
-    | None -> Alcotest.fail "obda_serve_answer_latency_count missing");
-    Session.close s
+    | None -> Alcotest.fail "obda_serve_answer_latency_count missing")
 
 (* ------------------------------------------------------------------ *)
 (* access-log resilience *)
@@ -996,8 +1002,7 @@ let test_access_log_write_failure () =
       raise (Sys_error "disk full"));
   Fun.protect
     ~finally:(fun () ->
-      Serve.clear_access_log ();
-      Session.close s)
+      Serve.clear_access_log ())
     (fun () ->
       let errors_before = Serve.access_log_error_count () in
       (* the failing writer must not fail the request *)
@@ -1016,21 +1021,16 @@ let test_access_log_write_failure () =
 
 let test_serve_ping_and_checkpoint_without_wal () =
   let s = Session.create () in
-  Fun.protect
-    ~finally:(fun () -> Session.close s)
-    (fun () ->
-      Session.load_data s (abox ());
-      (match fst (Serve.handle_line s "PING") with
-      | [ pong ] ->
-        check "pong carries the revision" true
-          (String.starts_with ~prefix:"OK pong rev=2 uptime=" pong)
-      | other ->
-        Alcotest.failf "expected one pong line, got %d" (List.length other));
-      (* CHECKPOINT without --data-dir is a typed in-protocol error *)
-      let lines, stop = Serve.handle_line s "CHECKPOINT" in
-      check_str "checkpoint without durability" "internal"
-        (err_class (first lines));
-      check "loop continues" false stop)
+  Session.load_data s (abox ());
+  (match fst (Serve.handle_line s "PING") with
+  | [ pong ] ->
+    check "pong carries the revision" true
+      (String.starts_with ~prefix:"OK pong rev=2 uptime=" pong)
+  | other -> Alcotest.failf "expected one pong line, got %d" (List.length other));
+  (* CHECKPOINT without --data-dir is a typed in-protocol error *)
+  let lines, stop = Serve.handle_line s "CHECKPOINT" in
+  check_str "checkpoint without durability" "internal" (err_class (first lines));
+  check "loop continues" false stop
 
 let suites =
   [
@@ -1070,7 +1070,7 @@ let suites =
           test_serve_batch_matches_individual;
         Alcotest.test_case "serve: BATCH errors" `Quick test_serve_batch_errors;
         Alcotest.test_case "serve: BATCH under an armed fault plan" `Quick
-          test_serve_batch_fault_armed_forces_sequential;
+          test_serve_batch_fault_armed;
         Alcotest.test_case "serve: BATCH times every query" `Quick
           test_serve_batch_query_latency;
         Alcotest.test_case "session: freeze isolation" `Quick

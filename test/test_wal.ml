@@ -393,8 +393,7 @@ let test_session_wal_hook_end_to_end () =
       Fun.protect
         ~finally:(fun () ->
           Serve.detach_wal session;
-          Wal.close wal;
-          Session.close session)
+          Wal.close wal)
         (fun () ->
           let exec line = fst (Serve.handle_line session line) in
           check "assert acked" true
@@ -412,7 +411,7 @@ let test_session_wal_hook_end_to_end () =
           (* with the hook installed, STATS grows the wal rows *)
           (match exec "STATS" with
           | status :: rows ->
-            check_str "stats row count" "OK stats=20" status;
+            check_str "stats row count" "OK stats=19" status;
             check "wal seq row" true
               (List.exists
                  (String.starts_with ~prefix:"server.wal.seq ")
@@ -443,8 +442,7 @@ let test_wal_append_fault_keeps_store_untouched () =
         ~finally:(fun () ->
           Fault.disarm ();
           Serve.detach_wal session;
-          Wal.close wal;
-          Session.close session)
+          Wal.close wal)
         (fun () ->
           let exec line = fst (Serve.handle_line session line) in
           check "seed fact acked" true
@@ -500,8 +498,7 @@ let test_crash_recovery_property () =
           Fun.protect
             ~finally:(fun () ->
               Serve.detach_wal session;
-              Wal.close wal;
-              Session.close session)
+              Wal.close wal)
             (fun () ->
               for step = 1 to 25 do
                 let line = random_mutation rng in
@@ -535,8 +532,7 @@ let test_crash_recovery_with_injected_append_faults () =
             ~finally:(fun () ->
               Fault.disarm ();
               Serve.detach_wal session;
-              Wal.close wal;
-              Session.close session)
+              Wal.close wal)
             (fun () ->
               (match
                  Fault.parse_plan (Printf.sprintf "wal.append@%d" kill_at)
@@ -545,28 +541,24 @@ let test_crash_recovery_with_injected_append_faults () =
               | Ok plan -> Fault.arm plan);
               (* replay the acknowledged prefix into a shadow store *)
               let shadow = Session.create () in
-              Fun.protect
-                ~finally:(fun () -> Session.close shadow)
-                (fun () ->
-                  List.iter
-                    (fun line ->
-                      let response =
-                        ok_first (fst (Serve.handle_line session line))
-                      in
-                      if String.starts_with ~prefix:"OK" response then
-                        ignore (Serve.handle_line shadow line))
-                    (stream rng 12);
-                  Fault.disarm ();
-                  let r = Wal.recover dir in
-                  check_str
-                    (Printf.sprintf
-                       "kill at append %d: recovery = acknowledged prefix"
-                       kill_at)
-                    (facts_key (Session.abox shadow))
-                    (facts_key r.Wal.abox);
-                  check_str "live session agrees"
-                    (facts_key (Session.abox session))
-                    (facts_key r.Wal.abox)))))
+              List.iter
+                (fun line ->
+                  let response =
+                    ok_first (fst (Serve.handle_line session line))
+                  in
+                  if String.starts_with ~prefix:"OK" response then
+                    ignore (Serve.handle_line shadow line))
+                (stream rng 12);
+              Fault.disarm ();
+              let r = Wal.recover dir in
+              check_str
+                (Printf.sprintf
+                   "kill at append %d: recovery = acknowledged prefix" kill_at)
+                (facts_key (Session.abox shadow))
+                (facts_key r.Wal.abox);
+              check_str "live session agrees"
+                (facts_key (Session.abox session))
+                (facts_key r.Wal.abox))))
     (List.init 8 (fun i -> i + 1))
 
 let test_interval_and_never_policies () =
@@ -592,8 +584,7 @@ let test_checkpoint_every_trigger () =
       Fun.protect
         ~finally:(fun () ->
           Serve.detach_wal session;
-          Wal.close wal;
-          Session.close session)
+          Wal.close wal)
         (fun () ->
           let exec line = ignore (Serve.handle_line session line) in
           exec "ASSERT A(a)";
@@ -625,8 +616,7 @@ let test_two_durable_sessions () =
               List.iter
                 (fun (s, wal) ->
                   Serve.detach_wal s;
-                  Wal.close wal;
-                  Session.close s)
+                  Wal.close wal)
                 [ (a, wal_a); (b, wal_b) ])
             (fun () ->
               let exec s line = ok_first (fst (Serve.handle_line s line)) in
@@ -665,8 +655,7 @@ let test_metrics_types_wal_rows () =
       Fun.protect
         ~finally:(fun () ->
           Serve.detach_wal session;
-          Wal.close wal;
-          Session.close session)
+          Wal.close wal)
         (fun () ->
           ignore (Serve.handle_line session "ASSERT A(a)");
           let types =
