@@ -633,12 +633,12 @@ let micro () =
         1,
         median,
         Test.make ~name:"eval:Tw*(seq1,3) over 4.ttl@0.05"
-          (Staged.stage (fun () -> Obda_ndl.Eval.run ~observe:false tw3 store)) );
+          (Staged.stage (fun () -> Obda_ndl.Eval.run tw3 store)) );
       ( "eval_lin_seq1_9_ns",
         1,
         median,
         Test.make ~name:"eval:Lin(seq1,9) over 2.ttl@0.05"
-          (Staged.stage (fun () -> Obda_ndl.Eval.run ~observe:false lin9 ttl2)) );
+          (Staged.stage (fun () -> Obda_ndl.Eval.run lin9 ttl2)) );
     ]
   in
   let label = Measure.label instance in
@@ -801,7 +801,7 @@ let service_cache () =
     "service-cache: cold pipeline vs prepared vs cached re-prepare (Fig. 2 \
      sequence 1)";
   let module Session = Obda_service.Session in
-  let module Obs = Obda_obs.Obs in
+  let module Cache = Obda_service.Cache in
   let tbox = example11 () in
   let _, _, abox =
     build_dataset ~scale:0.01 tbox (List.hd Obda_data.Generate.table2_params)
@@ -837,28 +837,24 @@ let service_cache () =
       let session = Session.create () in
       Session.load_ontology session tbox;
       Session.load_data session abox;
-      let (prepared_t, cached_t), collector =
-        Obs.collecting (fun () ->
-            let p, _ = Session.prepare session ~name:"q" cq in
-            let prepared_t =
-              time (fun () ->
-                  for _ = 1 to requests do
-                    ignore (Session.answer session p)
-                  done)
-            in
-            let cached_t =
-              time (fun () ->
-                  for _ = 1 to requests do
-                    let p, _ = Session.prepare session ~name:"q" cq in
-                    ignore (Session.answer session p)
-                  done)
-            in
-            (prepared_t, cached_t))
+      let p, _ = Session.prepare session ~name:"q" cq in
+      let prepared_t =
+        time (fun () ->
+            for _ = 1 to requests do
+              ignore (Session.answer session p)
+            done)
       in
-      (* hit-rate from the telemetry collector: one miss for the initial
+      let cached_t =
+        time (fun () ->
+            for _ = 1 to requests do
+              let p, _ = Session.prepare session ~name:"q" cq in
+              ignore (Session.answer session p)
+            done)
+      in
+      (* hit-rate from the session's cache: one miss for the initial
          prepare, a hit per cached re-prepare *)
-      let hits = Obs.Collector.counter collector "service.cache.hit" in
-      let misses = Obs.Collector.counter collector "service.cache.miss" in
+      let cache = Session.cache session in
+      let hits = Cache.hits cache and misses = Cache.misses cache in
       let speedup = cold /. prepared_t in
       total_speedup := !total_speedup +. speedup;
       incr rows;

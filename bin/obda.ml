@@ -686,6 +686,12 @@ let serve_cmd =
           Service.Session.create ~budget ?cache_entries
             ?cache_weight:cache_size ()
         in
+        (* --stats, --metrics-json and --trace report the session's STATS
+           rows when the command ends, on every exit path: registered after
+           [init_telemetry]'s teardown, this runs before it *)
+        at_exit (fun () ->
+            try Obda_obs.Exposition.publish (Service.Session.stats session)
+            with _ -> ());
         Fun.protect
           ~finally:(fun () ->
             match Service.Session.wal session with
@@ -695,7 +701,6 @@ let serve_cmd =
                  every acknowledged mutation *)
               (try ignore (Service.Session.checkpoint session w)
                with _ -> ());
-              Service.Session.detach_wal session;
               Service.Wal.close w
             | None -> ())
           (fun () ->
@@ -779,11 +784,7 @@ let serve_cmd =
               if code <> 0 then begin
                 (* exit bypasses Fun.protect: close the log here so the
                    SIGTERM drain checkpoint is followed by a final sync *)
-                (match Service.Session.wal session with
-                | Some w ->
-                  Service.Session.detach_wal session;
-                  Service.Wal.close w
-                | None -> ());
+                Option.iter Service.Wal.close (Service.Session.wal session);
                 exit code
               end
             | None -> (
@@ -888,8 +889,8 @@ let serve_cmd =
           ~doc:
             "Also log the span tree of every request that takes at least \
              $(docv) milliseconds (to the --access-log destination; stderr \
-             if none was given).  While armed, request spans are routed to \
-             the slow-query collector instead of --trace sinks.")
+             if none was given), rooted at its one service.request span.  \
+             --trace keeps receiving every span.")
   in
   let data_dir =
     Arg.(

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Serve smoke: boot the network server on a Unix socket, drive 8
 # concurrent clients with mixed ASSERT/RETRACT + ANSWER traffic, check
-# that trivial load sheds nothing and that --timeout bounds each request
-# rather than the server's lifetime, then SIGTERM the server and check the
-# graceful drain exits 143.
+# that trivial load sheds nothing, that the access log holds one line per
+# request and --slow-ms 0 one span tree per request, and that --timeout
+# bounds each request rather than the server's lifetime, then SIGTERM the
+# server and check the graceful drain exits 143 and reports the session's
+# STATS rows to --metrics-json.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -14,6 +16,8 @@ dir=$(mktemp -d)
 sock="$dir/obda.sock"
 
 "$OBDA" serve --socket "$sock" --connections 8 --timeout 2 \
+  --access-log "$dir/access.log" --slow-ms 0 \
+  --metrics-json "$dir/metrics.jsonl" \
   -o test/corpus/good.onto -d test/corpus/chain.data &
 server=$!
 trap 'kill "$server" 2>/dev/null; rm -rf "$dir"' EXIT
@@ -46,6 +50,26 @@ done
 # no client may have been shed or errored at this load
 if grep -h '^ERR' "$dir/prep.out" "$dir"/c*.out; then
   echo "unexpected ERR under trivial load" >&2
+  exit 1
+fi
+
+# the access log: one line per request so far (PING and QUIT of the
+# readiness probe, PREPARE and QUIT, 8 clients x 5), each its own request
+# id, each a single JSON object; and, with --slow-ms 0, one slow line per
+# request whose span tree names exactly one service.request span
+requests=44
+access=$(grep -c '^{"type":"access",' "$dir/access.log" || true)
+ids=$(grep '^{"type":"access",' "$dir/access.log" | sed 's/.*"id":\([0-9]*\),.*/\1/' | sort -u | wc -l)
+if [ "$access" -ne "$requests" ] || [ "$ids" -ne "$requests" ] \
+   || grep -q '}{' "$dir/access.log"; then
+  echo "access log: $access access lines, $ids ids, want $requests each:" >&2
+  cat "$dir/access.log" >&2
+  exit 1
+fi
+if awk '/^\{"type":"slow",/ { n++; if (gsub(/"name":"service\.request"/, "&") != 1) bad++ }
+        END { exit !(n == '"$requests"' && bad == 0) }' "$dir/access.log"; then :; else
+  echo "slow lines must each name exactly one service.request span:" >&2
+  grep '"type":"slow"' "$dir/access.log" >&2
   exit 1
 fi
 
@@ -115,4 +139,15 @@ if [ "$code" -ne 143 ]; then
   exit 1
 fi
 
-echo "serve smoke: 8 clients served, 0 requests shed, --timeout per request, METRICS parsed, top rendered, SIGTERM drained with exit 143"
+# the drained session's STATS rows reached --metrics-json, under their
+# STATS names and METRICS kinds
+for row in '"counter","name":"server.requests.served"' \
+           '"counter","name":"cache.misses"' '"gauge","name":"data.atoms"'; do
+  if ! grep -q "\"type\":\"metric\",\"kind\":$row" "$dir/metrics.jsonl"; then
+    echo "--metrics-json lacks the STATS row $row:" >&2
+    grep '"type":"metric"' "$dir/metrics.jsonl" >&2
+    exit 1
+  fi
+done
+
+echo "serve smoke: 8 clients served, 0 requests shed, one access line and one slow span tree per request, --timeout per request, METRICS parsed, top rendered, SIGTERM drained with exit 143 and STATS rows in --metrics-json"

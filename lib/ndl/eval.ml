@@ -151,9 +151,6 @@ type env = {
   domain : int array Lazy.t;
       (* ⊤, sorted for membership by binary search; built on first use *)
   budget : Budget.t;
-  observe : bool;
-      (* when false the evaluator must not touch the global telemetry sink
-         or the fault registry *)
   explain : (string -> unit) option;
   mutable reads : int;
       (* tuples delivered from relation storage or domain sweeps — the
@@ -351,10 +348,7 @@ let eval_compiled env target cc =
       assert (v >= 0);
       out.(k) <- v
     done;
-    if Relation.add target out 0 then begin
-      Budget.grow env.budget;
-      if env.observe then Obs.incr "eval.derived_facts"
-    end
+    if Relation.add target out 0 then Budget.grow env.budget
   in
   let resolve si p =
     let r = get_relation env p.pred ~arity:p.arity in
@@ -676,11 +670,9 @@ let cache_disposition ?plan ~naive (q : Ndl.query) abox =
 (* ------------------------------------------------------------------ *)
 (* Stratum drivers *)
 
-let round_marker env =
-  if env.observe then begin
-    Fault.hit Fault.eval_ndl_round;
-    Obs.incr "eval.rounds"
-  end
+let round_marker () =
+  Fault.hit Fault.eval_ndl_round;
+  Obs.incr "eval.rounds"
 
 let explain_renaming env (c : Ndl.clause) how =
   match env.explain with
@@ -723,7 +715,7 @@ let capacity env ~arity estimate =
 
 (* Whether the stratum shared a source's relation instead of deriving. *)
 let eval_straight env ~naive (st : cstraight) =
-  round_marker env;
+  round_marker ();
   match Option.bind st.srenamings (shared_source env) with
   | Some (c, r) ->
     Symbol.Tbl.replace env.relations st.spred r;
@@ -752,16 +744,28 @@ let eval_straight env ~naive (st : cstraight) =
       Relation.create ~capacity:(capacity env ~arity:st.sarity st.sestimate) st.sarity
     in
     Symbol.Tbl.replace env.relations st.spred target;
-    List.iter (eval_compiled env target) ccs;
+    (* the stratum derived its fresh relation's tuples, but for one a size
+       cap refused: [emit] stores a tuple before charging it *)
+    let derived refused =
+      if target.size > refused then
+        Obs.count "eval.derived_facts" (target.size - refused)
+    in
+    (try List.iter (eval_compiled env target) ccs
+     with e ->
+       derived
+         (match e with
+         | Error.Obda_error (Budget_exhausted { resource = Size; _ }) -> 1
+         | _ -> 0);
+       raise e);
+    derived 0;
     false
 
 (* Semi-naïve fixpoint for a recursive stratum (naïve re-derivation when
-   [naive]).  Derivation happens into per-round accumulators under an
-   unobserved child environment; the driver itself counts the genuinely new
-   tuples and fires the per-round fault site / counters, so telemetry means
-   the same thing it does on the straight path. *)
+   [naive]).  Derivation happens into per-round accumulators; the round
+   loop counts the genuinely new tuples and fires the per-round fault site
+   / counters, so telemetry means the same thing it does on the straight
+   path. *)
 let eval_fixpoint env ~naive (fx : cfixpoint) =
-  let qenv = { env with observe = false } in
   let fulls =
     Array.map
       (fun (p, arity) ->
@@ -774,7 +778,7 @@ let eval_fixpoint env ~naive (fx : cfixpoint) =
     Array.map (fun (r : Relation.t) -> Relation.create r.arity) fulls
   in
   let derive accs ccs =
-    List.iter (fun (ti, cc) -> eval_compiled qenv accs.(ti) cc) ccs
+    List.iter (fun (ti, cc) -> eval_compiled env accs.(ti) cc) ccs
   in
   let merge accs =
     let added = ref 0 in
@@ -788,13 +792,13 @@ let eval_fixpoint env ~naive (fx : cfixpoint) =
           delta)
         accs
     in
-    if env.observe then Obs.count "eval.derived_facts" !added;
+    Obs.count "eval.derived_facts" !added;
     (deltas, !added)
   in
   let compile_assignments ~naive clauses =
     List.map
       (fun (ti, c) ->
-        (ti, compile_and_plan qenv ~naive ~transient:fx.ftransient c))
+        (ti, compile_and_plan env ~naive ~transient:fx.ftransient c))
       clauses
   in
   let base_ccs =
@@ -808,7 +812,7 @@ let eval_fixpoint env ~naive (fx : cfixpoint) =
   if naive then begin
     (* naïve fixpoint: re-derive every clause from the full relations *)
     let rec loop () =
-      round_marker env;
+      round_marker ();
       let accs = fresh_accs () in
       derive accs base_ccs;
       let _, added = merge accs in
@@ -817,14 +821,14 @@ let eval_fixpoint env ~naive (fx : cfixpoint) =
     loop ()
   end
   else begin
-    round_marker env;
+    round_marker ();
     let acc0 = fresh_accs () in
     derive acc0 base_ccs;
     let deltas0, added0 = merge acc0 in
     if added0 > 0 then begin
       let register deltas =
         Array.iteri
-          (fun i d -> Symbol.Tbl.replace qenv.relations fx.fdelta.(i) d)
+          (fun i d -> Symbol.Tbl.replace env.relations fx.fdelta.(i) d)
           deltas
       in
       register deltas0;
@@ -840,7 +844,7 @@ let eval_fixpoint env ~naive (fx : cfixpoint) =
       in
       let rec loop deltas =
         register deltas;
-        round_marker env;
+        round_marker ();
         let accs = fresh_accs () in
         derive accs variant_ccs;
         let deltas', added = merge accs in
@@ -848,10 +852,9 @@ let eval_fixpoint env ~naive (fx : cfixpoint) =
       in
       loop deltas0;
       (* the delta views are dead past the fixpoint *)
-      Array.iter (fun d -> Symbol.Tbl.remove qenv.relations d) fx.fdelta
+      Array.iter (fun d -> Symbol.Tbl.remove env.relations d) fx.fdelta
     end
-  end;
-  env.reads <- qenv.reads
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -888,8 +891,8 @@ let plan_gauges cstrata =
   Obs.set_int "eval.plan.scans" !scans;
   Obs.set_int "eval.plan.reordered" !reordered
 
-let run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
-    ~explain (q : Ndl.query) abox =
+let run_unobserved ?plan ~naive ~budget ~edb ~extra_domain ~explain
+    (q : Ndl.query) abox =
   let idb = Ndl.idb_preds q in
   let domain =
     lazy
@@ -907,7 +910,6 @@ let run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
       external_edb = edb;
       domain;
       budget;
-      observe;
       explain;
       reads = 0;
     }
@@ -922,12 +924,10 @@ let run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
       cp
     | _ -> skeleton ~naive ~atoms:(Abox.num_atoms abox) q
   in
-  if observe then begin
-    match disposition with
-    | `Hit -> Obs.incr "eval.plan.cache_hits"
-    | `Replan -> Obs.incr "eval.plan.replans"
-    | `Fresh | `Uncached -> ()
-  end;
+  (match disposition with
+  | `Hit -> Obs.incr "eval.plan.cache_hits"
+  | `Replan -> Obs.incr "eval.plan.replans"
+  | `Fresh | `Uncached -> ());
   let renamed = ref 0 in
   Array.iter
     (function
@@ -981,7 +981,7 @@ let run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
             idb Symbol.Map.empty)
          views)
   in
-  if observe && Obs.enabled () then begin
+  if Obs.enabled () then begin
     Obs.set_int "eval.answers" (List.length answers);
     Obs.set_int "eval.generated_tuples" generated_tuples;
     Obs.set_int "eval.views" !renamed;
@@ -994,26 +994,21 @@ let run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
   end;
   { answers; generated_tuples; tuples_read = env.reads; idb_relations }
 
-let run ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
+let run ?plan ?(naive = false) ?(budget = Budget.none)
     ?(edb = fun _ _ -> None) ?(extra_domain = []) ?explain q abox =
-  if observe then
-    let attrs =
-      let plan_attr =
-        if naive then "naive"
-        else
-          match cache_disposition ?plan ~naive q abox with
-          | `Hit -> "cached"
-          | `Replan -> "replanned"
-          | `Fresh | `Uncached -> "fresh"
-      in
-      [ ("plan", plan_attr) ]
+  let attrs =
+    let plan_attr =
+      if naive then "naive"
+      else
+        match cache_disposition ?plan ~naive q abox with
+        | `Hit -> "cached"
+        | `Replan -> "replanned"
+        | `Fresh | `Uncached -> "fresh"
     in
-    Obs.with_span ~attrs "eval.ndl" (fun () ->
-        run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain
-          ~explain q abox)
-  else
-    run_unobserved ?plan ~naive ~observe ~budget ~edb ~extra_domain ~explain q
-      abox
+    [ ("plan", plan_attr) ]
+  in
+  Obs.with_span ~attrs "eval.ndl" (fun () ->
+      run_unobserved ?plan ~naive ~budget ~edb ~extra_domain ~explain q abox)
 
 let answers ?budget ?plan q abox = (run ?budget ?plan q abox).answers
 

@@ -85,7 +85,6 @@ val plan_cache : unit -> plan_cache
 val run :
   ?plan:plan_cache ->
   ?naive:bool ->
-  ?observe:bool ->
   ?budget:Obda_runtime.Budget.t ->
   ?edb:(Symbol.t -> int -> Symbol.t list list option) ->
   ?extra_domain:Symbol.t list ->
@@ -107,9 +106,10 @@ val run :
     the run gets a line too, its clause followed by [  view] or
     [  shared]: [Gtw4(x1,x0) <- R*(x0,x1)  view].
 
-    [observe = false] runs without touching the global telemetry sink or
-    the fault registry, so a caller can time the engine alone (the
-    [micro] bench does).
+    Each run is one [eval.ndl] telemetry span ([plan=fresh|cached|
+    replanned|naive]).  [eval.derived_facts] counts derived tuples once
+    per derived straight stratum, from the size of its fresh relation, and
+    once per fixpoint round, from the tuples the round found new.
 
     [budget] is checked on every matcher step (a budget step per visited
     search node, with the wall clock consulted every 1024 steps, and a

@@ -1,4 +1,5 @@
-(* Prometheus-style text exposition of the running service.
+(* The service's typed metric rows, and their Prometheus-style text
+   exposition.
 
    One render = the caller's stats rows (counters and gauges) followed by
    every histogram in the process-wide registry, as the standard
@@ -32,51 +33,43 @@ let sanitize name =
     b;
   "obda_" ^ Bytes.to_string b
 
-(* Stats rows whose value only ever increases — everything else is a
-   gauge. *)
-let counter_rows =
-  [
-    "requests"; "cache.hits"; "cache.misses"; "cache.evictions";
-    "server.connections.accepted"; "server.connections.shed";
-    "server.requests.served"; "server.requests.shed";
-    "server.wal.appended"; "server.wal.bytes"; "server.wal.syncs";
-    "server.wal.checkpoints";
-  ]
+type value =
+  | Int of int
+  | Float of { value : float; decimals : int }
+  | Bool of bool option
+  | Span of (int * int) option
 
-let row_kind key = if List.mem key counter_rows then "counter" else "gauge"
+type row = Counter of string * int | Gauge of string * value
 
-(* ["lo-hi"] span rows (the snapshot revision span) become two samples. *)
-let span_value v =
-  match String.index_opt v '-' with
-  | Some i when i > 0 -> (
-    match
-      ( int_of_string_opt (String.sub v 0 i),
-        int_of_string_opt (String.sub v (i + 1) (String.length v - i - 1)) )
-    with
-    | Some lo, Some hi -> Some (lo, hi)
-    | _ -> None)
-  | _ -> None
+let stats_line = function
+  | Counter (name, n) | Gauge (name, Int n) -> Printf.sprintf "%s %d" name n
+  | Gauge (name, Float { value; decimals }) ->
+    Printf.sprintf "%s %.*f" name decimals value
+  | Gauge (name, Bool (Some b)) -> name ^ if b then " yes" else " no"
+  | Gauge (name, Bool None) -> name ^ " unknown"
+  | Gauge (name, Span (Some (lo, hi))) -> Printf.sprintf "%s %d-%d" name lo hi
+  | Gauge (name, Span None) -> name ^ " -"
 
-(* A stats row as exposition samples: numbers pass through, yes/no become
-   1/0, span rows split into _lo/_hi, anything else ("unknown", "-") is
-   unrepresentable and skipped. *)
-let row_samples (key, value) =
-  let name = sanitize key in
-  let sample v = [ (row_kind key, name, v) ] in
-  match float_of_string_opt value with
-  | Some v -> sample v
-  | None -> (
-    match String.lowercase_ascii value with
-    | "yes" | "true" -> sample 1.
-    | "no" | "false" -> sample 0.
-    | _ -> (
-      match span_value value with
-      | Some (lo, hi) ->
-        [
-          ("gauge", name ^ "_lo", float_of_int lo);
-          ("gauge", name ^ "_hi", float_of_int hi);
-        ]
-      | None -> []))
+(* A row as samples under its STATS name: the one conversion [render]
+   and [publish] share. *)
+let samples = function
+  | Counter (name, n) -> [ (name, Obs.Counter, Obs.Int n) ]
+  | Gauge (name, Int n) -> [ (name, Obs.Gauge, Obs.Int n) ]
+  | Gauge (name, Float { value; _ }) -> [ (name, Obs.Gauge, Obs.Float value) ]
+  | Gauge (name, Bool (Some b)) -> [ (name, Obs.Gauge, Obs.Int (Bool.to_int b)) ]
+  | Gauge (name, Span (Some (lo, hi))) ->
+    [ (name ^ "_lo", Obs.Gauge, Obs.Int lo); (name ^ "_hi", Obs.Gauge, Obs.Int hi) ]
+  | Gauge (_, (Bool None | Span None)) -> []
+
+let publish rows =
+  if Obs.enabled () then
+    List.iter
+      (fun (name, kind, v) ->
+        match (kind, v) with
+        | Obs.Counter, Obs.Int n -> Obs.count name n
+        | _, Obs.Int n -> Obs.set_int name n
+        | _, Obs.Float f -> Obs.set_float name f)
+      (List.concat_map samples rows)
 
 let add_histogram buf (s : Histogram.snapshot) =
   let name = sanitize s.sname in
@@ -98,12 +91,12 @@ let render rows =
   Fault.hit Fault.obs_export;
   let buf = Buffer.create 1024 in
   List.iter
-    (fun row ->
-      List.iter
-        (fun (kind, name, v) ->
-          Printf.bprintf buf "# TYPE %s %s\n" name kind;
-          Printf.bprintf buf "%s %.9g\n" name v)
-        (row_samples row))
-    rows;
+    (fun (name, kind, v) ->
+      let name = sanitize name in
+      Printf.bprintf buf "# TYPE %s %s\n" name
+        (match kind with Obs.Counter -> "counter" | Obs.Gauge -> "gauge");
+      Printf.bprintf buf "%s %.9g\n" name
+        (match v with Obs.Int n -> float_of_int n | Obs.Float f -> f))
+    (List.concat_map samples rows);
   List.iter (add_histogram buf) (Histogram.snapshots ());
   Buffer.contents buf

@@ -10,7 +10,7 @@
    - the disabled path must cost one load and one branch, the same ≤5 ns
      discipline [Obs] and [Fault] already pin in the obs-overhead bench;
    - merging must be exact and associative (bucket-wise integer sums), so
-     per-connection histograms combine in any order.
+     per-client histograms combine in any order.
 
    Buckets are logarithmic with ratio 2^(1/4) (~19% relative width): value
    [v] lands in the bucket whose upper bound is the smallest [2^(k/4) >= v].

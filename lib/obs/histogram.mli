@@ -3,10 +3,10 @@
 
     A histogram is a fixed array of [2^(1/4)]-ratio log buckets (about 19%
     relative width) plus a running sum.  Recording is lock-free (atomic
-    bucket increments), so one histogram can be shared across the server's
+    bucket increments), so one histogram is shared by all the server's
     connection domains; merging is an exact bucket-wise integer sum, so it
-    is associative and commutative — per-connection histograms combine in
-    [Server.stats] in any order with the same result.
+    is associative and commutative — the serve-load bench's per-client
+    histograms combine in any order with the same result.
 
     Recording is {b off by default}: {!record} with the global flag clear
     is one atomic load and one branch (the same ≤5 ns discipline the

@@ -23,22 +23,19 @@ type sink = {
   on_flush : unit -> unit;
 }
 
-type open_span = {
-  oid : int;
-  oparent : int option;
-  odepth : int;
-  oname : string;
-  oattrs : (string * string) list;
-  ostart : float;  (* absolute *)
-}
-
 type state = {
-  sink : sink;
+  mutable sink : sink;  (* the installed sink, teed with any [tap]ped one *)
   t0 : float;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, value) Hashtbl.t;
-  mutable stack : open_span list;
-  mutable next_id : int;
+  next_id : int Atomic.t;
+}
+
+type open_span = {
+  oid : int;
+  odepth : int;
+  ostart : float;  (* absolute *)
+  ostate : state;  (* a span parents only spans of its own sink *)
 }
 
 (* The single telemetry slot.  [None] is the fast path: every recording
@@ -46,12 +43,14 @@ type state = {
    enabled path is guarded by [lock]: the network server records spans and
    counters from several domains at once, and serialising the bookkeeping
    (and the sink writes, which become line-atomic) is what keeps the
-   single-slot design safe there.  Under concurrency the span stack is
-   global, so parent attribution across simultaneous connections is
-   approximate — every span is still emitted exactly once with correct
-   timing. *)
+   single-slot design safe there. *)
 let current : state option ref = ref None
 let lock = Mutex.create ()
+
+(* Open spans nest per domain: a connection worker's spans parent under
+   its own request, whatever other domains have open. *)
+let open_spans : open_span list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let locked f =
   Mutex.lock lock;
@@ -66,18 +65,41 @@ let locked f =
 let enabled () = !current <> None
 let now () = Unix.gettimeofday ()
 
-let install sink =
+let tee sinks =
+  {
+    on_span = (fun s -> List.iter (fun k -> k.on_span s) sinks);
+    on_metric =
+      (fun kind name v -> List.iter (fun k -> k.on_metric kind name v) sinks);
+    on_flush = (fun () -> List.iter (fun k -> k.on_flush ()) sinks);
+  }
+
+let fresh sink =
+  {
+    sink;
+    t0 = now ();
+    counters = Hashtbl.create 32;
+    gauges = Hashtbl.create 32;
+    next_id = Atomic.make 0;
+  }
+
+let install sink = locked (fun () -> current := Some (fresh sink))
+
+let tap extra =
   locked (fun () ->
-      current :=
-        Some
-          {
-            sink;
-            t0 = now ();
-            counters = Hashtbl.create 32;
-            gauges = Hashtbl.create 32;
-            stack = [];
-            next_id = 0;
-          })
+      let st, undo =
+        match !current with
+        | Some st ->
+          let prev = st.sink in
+          st.sink <- tee [ prev; extra ];
+          (st, fun () -> st.sink <- prev)
+        | None ->
+          let st = fresh extra in
+          current := Some st;
+          (st, fun () -> current := None)
+      in
+      fun () ->
+        locked (fun () ->
+            match !current with Some st' when st' == st -> undo () | _ -> ()))
 
 let flush () =
   match !current with
@@ -119,37 +141,25 @@ let with_span ?(attrs = []) name f =
   match !current with
   | None -> f ()
   | Some st ->
-    let o, id, parent, depth =
-      locked (fun () ->
-          let id = st.next_id in
-          st.next_id <- id + 1;
-          let parent, depth =
-            match st.stack with
-            | [] -> (None, 0)
-            | o :: _ -> (Some o.oid, o.odepth + 1)
-          in
-          let o =
-            { oid = id; oparent = parent; odepth = depth; oname = name;
-              oattrs = attrs; ostart = now () }
-          in
-          st.stack <- o :: st.stack;
-          (o, id, parent, depth))
+    let stack = Domain.DLS.get open_spans in
+    let parent, depth =
+      match !stack with
+      | o :: _ when o.ostate == st -> (Some o.oid, o.odepth + 1)
+      | _ -> (None, 0)
     in
+    let id = Atomic.fetch_and_add st.next_id 1 in
+    let o = { oid = id; odepth = depth; ostart = now (); ostate = st } in
+    stack := o :: !stack;
     let close outcome =
+      (* pop to (and including) this span, tolerating unbalanced inner
+         spans left open by a non-local exit *)
+      let rec pop = function
+        | top :: rest -> if top == o then rest else pop rest
+        | [] -> []
+      in
+      stack := pop !stack;
+      let t1 = now () in
       locked (fun () ->
-          (* pop to (and including) this span, tolerating unbalanced inner
-             spans left open by a non-local exit *)
-          (match !current with
-          | Some st' when st' == st ->
-            let rec pop = function
-              | top :: rest ->
-                if top.oid = id then st.stack <- rest
-                else pop rest
-              | [] -> st.stack <- []
-            in
-            pop st.stack
-          | _ -> ());
-          let t1 = now () in
           st.sink.on_span
             {
               id;
@@ -208,14 +218,6 @@ let gauge_value name =
 
 let null_sink =
   { on_span = (fun _ -> ()); on_metric = (fun _ _ _ -> ()); on_flush = ignore }
-
-let tee sinks =
-  {
-    on_span = (fun s -> List.iter (fun k -> k.on_span s) sinks);
-    on_metric =
-      (fun kind name v -> List.iter (fun k -> k.on_metric kind name v) sinks);
-    on_flush = (fun () -> List.iter (fun k -> k.on_flush ()) sinks);
-  }
 
 let ms seconds = Float (seconds *. 1000.)
 

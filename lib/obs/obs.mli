@@ -10,10 +10,11 @@
     Telemetry is {b disabled by default}: with no sink installed every
     entry point is a single load-and-branch on {!val-enabled}, so the hot
     loops pay one predictable branch per event and nothing allocates.  A
-    sink is installed per request ({!install}/{!uninstall}, or the
+    sink is installed per run ({!install}/{!uninstall}, or the
     {!collecting} bracket); the state is a process-wide single slot, like
-    the similarly-scoped loggers of the OCaml ecosystem — concurrent
-    requests would need one process (or domain) each.
+    the similarly-scoped loggers of the OCaml ecosystem.  Spans nest per
+    domain: requests served concurrently on different domains each keep
+    their own span tree.
 
     Metric names are dot-separated, lowercase, stable — they are part of
     the CLI surface (see README "Observability" for the full table and the
@@ -79,6 +80,13 @@ val set_float : string -> float -> unit
 val install : sink -> unit
 (** Install [sink], making telemetry enabled.  Replaces (without flushing)
     any previously installed sink; use {!uninstall} first to flush. *)
+
+val tap : sink -> unit -> unit
+(** [tap s] tees [s] into the installed sink (or installs [s] alone when
+    none is) and returns the function that puts the sink state from before
+    back — a no-op once {!install}, {!uninstall} or {!collecting} replaced
+    the slot.  The serve loop's slow-query log taps its sink this way,
+    beside the sinks the CLI installed. *)
 
 val uninstall : unit -> unit
 (** Flush final metric values to the sink and disable telemetry.  No-op

@@ -60,7 +60,6 @@ let create ~jobs =
   in
   { jobs; workers; handles; closed = false }
 
-let jobs t = t.jobs
 
 let submit w f =
   Mutex.lock w.m;
@@ -115,7 +114,3 @@ let shutdown t =
       t.workers;
     Array.iter Domain.join t.handles
   end
-
-let with_pool ~jobs f =
-  let t = create ~jobs in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

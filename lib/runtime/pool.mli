@@ -21,8 +21,6 @@ val create : jobs:int -> t
 (** Spawn a pool of [jobs] workers ([jobs - 1] domains).  Raises
     [Invalid_argument] when [jobs < 1]. *)
 
-val jobs : t -> int
-
 val run : t -> (int -> unit) -> unit
 (** [run t f] executes [f 0 .. f (jobs - 1)] concurrently, [f 0] on the
     calling domain, and returns when all have finished.  If any call
@@ -33,6 +31,3 @@ val run : t -> (int -> unit) -> unit
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent. *)
-
-val with_pool : jobs:int -> (t -> 'a) -> 'a
-(** [create], run [f], and {!shutdown} even on exceptions. *)

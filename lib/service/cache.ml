@@ -2,7 +2,6 @@
 
 module Ndl = Obda_ndl.Ndl
 module Fault = Obda_runtime.Fault
-module Obs = Obda_obs.Obs
 
 type entry = {
   key : string;
@@ -96,7 +95,6 @@ let rec evict_over_bounds t ~keep =
       Hashtbl.remove t.tbl e.key;
       t.weight <- t.weight - e.weight;
       t.evictions <- t.evictions + 1;
-      Obs.incr "service.cache.evict";
       evict_over_bounds t ~keep
     | _ -> ()
 
@@ -105,15 +103,13 @@ let find_or_add t ~key build =
   match Hashtbl.find_opt t.tbl key with
   | Some e ->
     t.hits <- t.hits + 1;
-    Obs.incr "service.cache.hit";
     touch t e;
     (e.query, `Hit)
   | None ->
     (* count the miss only once [build] has succeeded: a failed build adds
-       no entry, so it must not skew the hit rate or the telemetry *)
+       no entry, so it must not skew the hit rate *)
     let query = build () in
     t.misses <- t.misses + 1;
-    Obs.incr "service.cache.miss";
     let e = { key; query; weight = Ndl.size query; prev = None; next = None } in
     Hashtbl.replace t.tbl key e;
     push_front t e;

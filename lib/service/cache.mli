@@ -6,9 +6,9 @@
     {!Obda_ndl.Ndl.size} over resident rewritings); the least recently
     used entries are evicted when either bound is exceeded.
 
-    Every lookup passes the [service.cache] fault-injection site and bumps
-    the [service.cache.hit] / [service.cache.miss] / [service.cache.evict]
-    telemetry counters. *)
+    Every lookup passes the [service.cache] fault-injection site.  The
+    session's [cache.*] STATS rows read {!hits}, {!misses} and
+    {!evictions}. *)
 
 type t
 
@@ -23,9 +23,9 @@ val find_or_add :
     result and return it.  A hit refreshes the entry's recency (a no-op
     when the entry is already most recent); a miss may evict
     least-recently-used entries (never the one just inserted).
-    Exceptions from [build] propagate and leave the cache — entries,
-    counters and telemetry alike — unchanged: a failed build is neither a
-    hit nor a miss. *)
+    Exceptions from [build] propagate and leave the cache — entries and
+    counters alike — unchanged: a failed build is neither a hit nor a
+    miss. *)
 
 val mem : t -> string -> bool
 val length : t -> int

@@ -44,15 +44,33 @@ let h_batch_query = Histogram.registered ~scale:1e9 "serve.batch.query.latency"
 type access_log = {
   write : string -> unit;  (** one complete JSON line, no trailing newline *)
   slow_ms : float option;
+  untap : unit -> unit;  (** takes the slow-query sink out of [Obs] *)
 }
 
 let access_log : access_log option ref = ref None
 let access_log_mutex = Mutex.create ()
-let access_log_errors = Atomic.make 0
 
-let set_access_log ?slow_ms write = access_log := Some { write; slow_ms }
-let clear_access_log () = access_log := None
-let access_log_error_count () = Atomic.get access_log_errors
+(* The slow-query sink, teed into telemetry while [--slow-ms] is armed:
+   each domain buffers the spans it closes, newest first, for the request
+   it is serving ([handle_line] empties the buffer as a request starts).
+   A root span outside any request drops the buffer. *)
+let domain_spans : Obs.span list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let slow_sink =
+  let on_span (s : Obs.span) =
+    let spans = Domain.DLS.get domain_spans in
+    spans := if s.depth = 0 && s.name <> "service.request" then [] else s :: !spans
+  in
+  { Obs.null_sink with on_span }
+
+let clear_access_log () =
+  Option.iter (fun log -> access_log := None; log.untap ()) !access_log
+
+let set_access_log ?slow_ms write =
+  clear_access_log ();
+  let untap = if slow_ms = None then ignore else Obs.tap slow_sink in
+  access_log := Some { write; slow_ms; untap }
 
 (* ------------------------------------------------------------------ *)
 (* Durability: the session owns its WAL (appends happen under its lock);
@@ -84,34 +102,48 @@ let origin_string = function `Hit -> "hit" | `Miss -> "miss"
 let tuple_string tuple =
   String.concat "," (List.map Symbol.name tuple)
 
+(* A response as [exec] hands it to [handle_line]: the lines, with the
+   tuple count of a non-boolean ANSWER (for [serve.answer.count]) and the
+   cache origin of a PREPARE (for the access log). *)
+type response = {
+  lines : string list;
+  answers : int option;
+  origin : [ `Hit | `Miss ] option;
+}
+
+let reply ?answers ?origin lines = { lines; answers; origin }
+
 let exec ?budget session (req : Protocol.request) =
   match req with
   | Protocol.Load_ontology file ->
     let tbox = Parse.ontology_of_file file in
     Session.load_ontology session tbox;
-    [
-      Format.asprintf "OK ontology axioms=%d depth=%a"
-        (List.length (Tbox.axioms tbox))
-        Tbox.pp_depth (Tbox.depth tbox);
-    ]
+    reply
+      [
+        Format.asprintf "OK ontology axioms=%d depth=%a"
+          (List.length (Tbox.axioms tbox))
+          Tbox.pp_depth (Tbox.depth tbox);
+      ]
   | Protocol.Load_data file ->
     let abox = Parse.data_of_file file in
     Session.load_data session abox;
-    [
-      Printf.sprintf "OK data atoms=%d individuals=%d"
-        (Abox.num_atoms abox) (Abox.num_individuals abox);
-    ]
+    reply
+      [
+        Printf.sprintf "OK data atoms=%d individuals=%d"
+          (Abox.num_atoms abox) (Abox.num_individuals abox);
+      ]
   | Protocol.Prepare { name; algorithm; cq } ->
     let cq = Parse.query_of_string cq in
     let prepared, origin = Session.prepare ?budget session ~name ?algorithm cq in
-    [
-      Printf.sprintf "OK prepared name=%s algorithm=%s cache=%s clauses=%d digest=%s"
-        name
-        (Omq.algorithm_name (Prepared.algorithm prepared))
-        (origin_string origin)
-        (Ndl.num_clauses (Prepared.rewriting prepared))
-        (Prepared.digest prepared);
-    ]
+    reply ~origin
+      [
+        Printf.sprintf "OK prepared name=%s algorithm=%s cache=%s clauses=%d digest=%s"
+          name
+          (Omq.algorithm_name (Prepared.algorithm prepared))
+          (origin_string origin)
+          (Ndl.num_clauses (Prepared.rewriting prepared))
+          (Prepared.digest prepared);
+      ]
   | Protocol.Answer name ->
     let prepared =
       match Session.find_prepared session name with
@@ -123,10 +155,11 @@ let exec ?budget session (req : Protocol.request) =
     let snap = Session.freeze session in
     let answers = Session.answer_at ?budget session prepared snap in
     if Prepared.arity prepared = 0 then
-      [ Printf.sprintf "OK boolean=%b" (answers <> []) ]
+      reply [ Printf.sprintf "OK boolean=%b" (answers <> []) ]
     else
-      Printf.sprintf "OK answers=%d" (List.length answers)
-      :: List.map tuple_string answers
+      let n = List.length answers in
+      reply ~answers:n
+        (Printf.sprintf "OK answers=%d" n :: List.map tuple_string answers)
   | Protocol.Batch names ->
     let lookup name =
       match Session.find_prepared session name with
@@ -150,7 +183,8 @@ let exec ?budget session (req : Protocol.request) =
           answers)
         work
     in
-    Printf.sprintf "OK batch=%d" (List.length work)
+    reply
+    @@ Printf.sprintf "OK batch=%d" (List.length work)
     :: List.concat
          (List.map2
             (fun (name, p) answers ->
@@ -169,15 +203,16 @@ let exec ?budget session (req : Protocol.request) =
        scope, so it reports exactly this request's effect even with
        concurrent writers on other connections *)
     let added, atoms = Session.assert_facts session facts in
-    [ Printf.sprintf "OK asserted added=%d atoms=%d" added atoms ]
+    reply [ Printf.sprintf "OK asserted added=%d atoms=%d" added atoms ]
   | Protocol.Retract_facts text ->
     let facts = Parse.facts_of_string text in
     let removed, atoms = Session.retract_facts session facts in
-    [ Printf.sprintf "OK retracted removed=%d atoms=%d" removed atoms ]
+    reply [ Printf.sprintf "OK retracted removed=%d atoms=%d" removed atoms ]
   | Protocol.Stats ->
     let stats = Session.stats session in
-    Printf.sprintf "OK stats=%d" (List.length stats)
-    :: List.map (fun (k, v) -> Printf.sprintf "%s %s" k v) stats
+    reply
+      (Printf.sprintf "OK stats=%d" (List.length stats)
+      :: List.map Exposition.stats_line stats)
   | Protocol.Metrics ->
     (* stats rows (session + server hook) as counters/gauges, plus every
        registered histogram; the render is guarded by [obs.export] *)
@@ -185,13 +220,14 @@ let exec ?budget session (req : Protocol.request) =
     let lines =
       List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
     in
-    Printf.sprintf "OK metrics=%d" (List.length lines) :: lines
+    reply (Printf.sprintf "OK metrics=%d" (List.length lines) :: lines)
   | Protocol.Ping ->
-    [
-      Printf.sprintf "OK pong rev=%d uptime=%.1f"
-        (Abox.revision (Session.abox session))
-        (Session.uptime session);
-    ]
+    reply
+      [
+        Printf.sprintf "OK pong rev=%d uptime=%.1f"
+          (Abox.revision (Session.abox session))
+          (Session.uptime session);
+      ]
   | Protocol.Checkpoint -> (
     match Session.wal session with
     | None ->
@@ -199,8 +235,8 @@ let exec ?budget session (req : Protocol.request) =
         "no durability configured (start obda serve with --data-dir)"
     | Some wal ->
       let seq = Session.checkpoint session wal in
-      [ Printf.sprintf "OK checkpoint seq=%d" seq ])
-  | Protocol.Quit -> [ "OK bye" ]
+      reply [ Printf.sprintf "OK checkpoint seq=%d" seq ])
+  | Protocol.Quit -> reply [ "OK bye" ]
 
 let protocol_error msg line =
   Error.Parse_error
@@ -209,18 +245,6 @@ let protocol_error msg line =
       msg;
       source_line = Some line;
     }
-
-(* Substring scan over a (short) response status line, for the cache
-   hit/miss field of the access log. *)
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  go 0
-
-let cache_origin = function
-  | first :: _ when contains_sub first "cache=hit" -> Some "hit"
-  | first :: _ when contains_sub first "cache=miss" -> Some "miss"
-  | _ -> None
 
 let span_json (s : Obs.span) =
   Json.Assoc
@@ -237,10 +261,10 @@ let span_json (s : Obs.span) =
 
 (* One access-log line per parsed request; a request slower than
    [slow_ms] leaves a second ["slow"] line carrying its span tree. *)
-let log_request ~id ~conn ~verb ~revision ~outcome ~duration ~lines ~spans =
+let log_request ~id ~conn ~verb ~revision ~outcome ~duration ~origin ~spans =
   match !access_log with
   | None -> ()
-  | Some { write; slow_ms } ->
+  | Some { write; slow_ms; _ } ->
     let duration_ms = duration *. 1000. in
     let access =
       Json.Assoc
@@ -254,8 +278,8 @@ let log_request ~id ~conn ~verb ~revision ~outcome ~duration ~lines ~spans =
            ("duration_ms", Json.Float duration_ms);
          ]
         @
-        match cache_origin lines with
-        | Some origin -> [ ("cache", Json.String origin) ]
+        match origin with
+        | Some o -> [ ("cache", Json.String (origin_string o)) ]
         | None -> [])
     in
     let slow =
@@ -282,17 +306,14 @@ let log_request ~id ~conn ~verb ~revision ~outcome ~duration ~lines ~spans =
            and disable logging to that destination for good *)
         try List.iter (fun j -> write (Json.to_string j)) (access :: slow)
         with _ ->
-          Atomic.incr access_log_errors;
           Obs.incr "serve.access_log.errors";
-          access_log := None)
+          clear_access_log ())
 
-let record_histograms ~verb ~lines =
+let record_histograms ~answers ~lines =
   if Histogram.recording () then begin
-    (match lines with
-    | first :: tuples when verb = "ANSWER" && not (contains_sub first "boolean=")
-      ->
-      Histogram.record h_answer_count (float_of_int (List.length tuples))
-    | _ -> ());
+    Option.iter
+      (fun n -> Histogram.record h_answer_count (float_of_int n))
+      answers;
     let bytes =
       List.fold_left (fun n l -> n + String.length l + 1) 0 lines
     in
@@ -328,40 +349,29 @@ let handle_line ?(conn = 0) session line =
               Fault.hit Fault.service_request;
               exec ~budget session req))
     in
-    let slow_armed =
-      match !access_log with
-      | Some { slow_ms = Some _; _ } -> true
-      | _ -> false
-    in
+    (* an armed slow-query sink buffers this request's spans here *)
+    let spans = Domain.DLS.get domain_spans in
+    spans := [];
     let t0 = Unix.gettimeofday () in
-    (* With --slow-ms armed, route this request's spans to a private
-       collector so a slow request can dump its tree.  The Obs slot is
-       process-wide, so under concurrent connections the attribution is
-       best-effort — same caveat as the rest of the span pillar. *)
-    let result, spans =
-      if slow_armed then
-        let result, collector = Obs.collecting run in
-        (result, Obs.Collector.spans collector)
-      else (run (), [])
-    in
+    let result = run () in
     let duration = Unix.gettimeofday () -. t0 in
-    let lines, outcome =
+    let r, outcome =
       match result with
-      | Ok lines -> (lines, "ok")
-      | Error e -> ([ "ERR " ^ Error.to_string e ], Error.class_name e)
+      | Ok r -> (r, "ok")
+      | Error e -> (reply [ "ERR " ^ Error.to_string e ], Error.class_name e)
     in
     (match latency_histogram verb with
     | Some h -> Histogram.record h duration
     | None -> ());
-    record_histograms ~verb ~lines;
+    record_histograms ~answers:r.answers ~lines:r.lines;
     log_request ~id ~conn ~verb
       ~revision:(Abox.revision (Session.abox session))
-      ~outcome ~duration ~lines ~spans;
+      ~outcome ~duration ~origin:r.origin ~spans:(List.rev !spans);
     (* a mutation just acknowledged may have tripped --checkpoint-every *)
     (match (result, verb) with
     | Ok _, ("ASSERT" | "RETRACT" | "LOAD") -> auto_checkpoint session
     | _ -> ());
-    (lines, stop)
+    (r.lines, stop)
 
 let run session ~input ~output =
   let rec loop () =

@@ -4,14 +4,7 @@
     status line (possibly followed by payload lines — answer tuples,
     stats) or a single [ERR class=... ...] line rendering the typed error
     that aborted it.  Errors are in-protocol: a failed request, including
-    a budget-exhausted one, leaves the session alive. *)
-
-val exec :
-  ?budget:Obda_runtime.Budget.t ->
-  Session.t -> Protocol.request -> string list
-(** Execute one request, returning its response lines.  Raises
-    [Obda_error] on failure (parse errors in payloads, unknown prepared
-    names, budget exhaustion, inapplicable algorithms...).
+    a budget-exhausted one, leaves the session alive.
 
     [ANSWER] and [BATCH] evaluate against a {!Session.freeze} snapshot —
     one frozen ABox revision per request — so concurrent [ASSERT]/
@@ -26,7 +19,11 @@ val exec :
     before anything is evaluated, the response interleaves one
     [OK name=... answers=N] (or [boolean=...]) header with its tuples per
     query in request order, and the first failing query fails the whole
-    request. *)
+    request.
+
+    [STATS] prints the session's {!Session.stats} rows, one ["name value"]
+    line each; [METRICS] renders the same rows, and the histogram
+    registry, as {!Obda_obs.Exposition.render} text. *)
 
 val handle_line : ?conn:int -> Session.t -> string -> string list * bool
 (** Parse and execute one input line under a [service.request] telemetry
@@ -38,11 +35,12 @@ val handle_line : ?conn:int -> Session.t -> string -> string list * bool
     otherwise — it tags access-log lines).  When
     {!Obda_obs.Histogram.recording} is armed, the request is timed into
     the per-verb registry histograms ([serve.answer.latency],
-    [serve.batch.latency], [serve.mutate.latency]) along with
-    [serve.answer.count] and [serve.response.bytes]; [BATCH] additionally
-    times each query into [serve.batch.query.latency].  The boolean is
-    [true] when the loop should stop ([QUIT]).  Blank and comment lines
-    yield no response. *)
+    [serve.batch.latency], [serve.mutate.latency]); the tuple count of
+    every answered non-boolean [ANSWER] goes into [serve.answer.count],
+    and the byte size of every response, [ERR] lines included, into
+    [serve.response.bytes]; [BATCH] additionally times each query into
+    [serve.batch.query.latency].  The boolean is [true] when the loop
+    should stop ([QUIT]).  Blank and comment lines yield no response. *)
 
 (** {1 Access log} *)
 
@@ -53,19 +51,19 @@ val set_access_log : ?slow_ms:float -> (string -> unit) -> unit
     "outcome":"ok","duration_ms":...,"cache":"hit"}] ([outcome] is the
     error class for failed requests; [cache] appears on [PREPARE]
     responses).  With [slow_ms], a request at least that slow writes a
-    second [{"type":"slow",...}] line carrying its collected span tree;
-    while armed, request spans are routed to the slow-query collector
-    rather than any installed telemetry sink.  Writes are serialised under
-    an internal mutex, so concurrent connections never interleave lines.
-    Process-wide; last call wins. *)
+    second [{"type":"slow",...}] line carrying its span tree, rooted at
+    its [service.request] span: a slow-query sink is
+    {!Obda_obs.Obs.tap}ped beside any installed telemetry sink (which
+    keeps every span), and each domain buffers the spans of the request
+    it serves.  Writes are serialised under an internal mutex, so
+    concurrent connections never interleave lines.  Process-wide; last
+    call wins.  A failed write — full disk, closed pipe — never fails the
+    request, the connection or the server: it increments the
+    [serve.access_log.errors] telemetry counter and clears the log. *)
 
 val clear_access_log : unit -> unit
-
-val access_log_error_count : unit -> int
-(** Write failures absorbed so far (process-wide).  A failed write — full
-    disk, closed pipe — increments this and the [serve.access_log.errors]
-    counter and disables the access log; it never fails the request, the
-    connection or the server. *)
+(** Disable the access log, restoring the telemetry sinks from before
+    {!set_access_log}. *)
 
 (** {1 Durability} *)
 

@@ -17,6 +17,7 @@ module Fault = Obda_runtime.Fault
 module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 module Histogram = Obda_obs.Histogram
+module Exposition = Obda_obs.Exposition
 
 type address = Unix_socket of string | Tcp of string * int
 
@@ -40,10 +41,9 @@ type t = {
   mutable shed_connections : int;
   mutable started : float;
   mutable conn_seq : int; (* connection ids, 1-based *)
-  conn_hists : (int, Histogram.t) Hashtbl.t;
-      (* live per-connection request-latency histograms (seconds); merged
-         with [closed_hist] on demand by [stats_rows] *)
-  closed_hist : Histogram.t; (* absorbed when a connection closes *)
+  latency : Histogram.t;
+      (* request latencies (seconds), recorded lock-free by every
+         connection worker *)
 }
 
 let tick = 0.1
@@ -133,8 +133,7 @@ let create ?(connections = 4) ?(backlog = 16) ?max_inflight ?idle_timeout
     shed_connections = 0;
     started = Unix.gettimeofday ();
     conn_seq = 0;
-    conn_hists = Hashtbl.create 16;
-    closed_hist = Histogram.create ~scale:1e9 "server.request.latency";
+    latency = Histogram.create ~scale:1e9 "server.request.latency";
   }
 
 let address t =
@@ -160,43 +159,33 @@ let stop t = request_stop t ~code:0
 (* Stats rows (appended to the session's STATS response via the hook) *)
 
 let stats_rows t =
+  let revisions = Session.frozen_span t.session in
+  let snap = Histogram.snapshot t.latency in
+  let quantile_ms q =
+    Exposition.Float
+      { value = Histogram.quantile snap q *. 1000.; decimals = 3 }
+  in
   Mutex.lock t.m;
-  let accepted = t.accepted
-  and active = t.active
-  and inflight = t.inflight
-  and served = t.served
-  and shed_requests = t.shed_requests
-  and shed_connections = t.shed_connections
-  (* per-connection histograms combine here: closed connections were
-     absorbed into [closed_hist] (under this mutex), live ones merge
-     bucket-wise (exact, order-independent) into a scratch histogram.
-     Merging under the mutex excludes the close-time absorption, so a
-     request is never counted both live and closed. *)
-  and merged =
-    let merged = Histogram.create ~scale:1e9 "server.request.latency" in
-    Histogram.merge_into ~into:merged t.closed_hist;
-    Hashtbl.iter (fun _ h -> Histogram.merge_into ~into:merged h) t.conn_hists;
-    merged
+  let rows =
+    Exposition.
+      [
+        Gauge
+          ( "server.uptime-s",
+            Float { value = Unix.gettimeofday () -. t.started; decimals = 1 } );
+        Counter ("server.connections.accepted", t.accepted);
+        Gauge ("server.connections.active", Int t.active);
+        Counter ("server.connections.shed", t.shed_connections);
+        Counter ("server.requests.served", t.served);
+        Counter ("server.requests.shed", t.shed_requests);
+        Gauge ("server.requests.inflight", Int t.inflight);
+        Gauge ("server.snapshot.revisions", Span revisions);
+        Gauge ("server.p50-ms", quantile_ms 0.50);
+        Gauge ("server.p95-ms", quantile_ms 0.95);
+        Gauge ("server.p99-ms", quantile_ms 0.99);
+      ]
   in
   Mutex.unlock t.m;
-  let snap = Histogram.snapshot merged in
-  let quantile_ms q = Histogram.quantile snap q *. 1000. in
-  [
-    ("server.uptime-s", Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started));
-    ("server.connections.accepted", string_of_int accepted);
-    ("server.connections.active", string_of_int active);
-    ("server.connections.shed", string_of_int shed_connections);
-    ("server.requests.served", string_of_int served);
-    ("server.requests.shed", string_of_int shed_requests);
-    ("server.requests.inflight", string_of_int inflight);
-    ( "server.snapshot.revisions",
-      match Session.frozen_span t.session with
-      | None -> "-"
-      | Some (lo, hi) -> Printf.sprintf "%d-%d" lo hi );
-    ("server.p50-ms", Printf.sprintf "%.3f" (quantile_ms 0.50));
-    ("server.p95-ms", Printf.sprintf "%.3f" (quantile_ms 0.95));
-    ("server.p99-ms", Printf.sprintf "%.3f" (quantile_ms 0.99));
-  ]
+  rows
 
 (* ------------------------------------------------------------------ *)
 (* Admission control: a bounded budget of requests being executed.  The
@@ -244,7 +233,6 @@ let admission_exempt line =
 type conn = {
   fd : Unix.file_descr;
   id : int; (* 1-based connection id, tagged onto access-log lines *)
-  hist : Histogram.t; (* this connection's request latencies (seconds) *)
   buf : Buffer.t;
   chunk : Bytes.t;
   mutable at_eof : bool;
@@ -311,7 +299,6 @@ let handle_request t c line =
   else
     match try_admit t with
     | Error inflight ->
-      Obs.incr "serve.request.shed";
       send_lines c.fd
         [
           Printf.sprintf "ERR class=overloaded inflight=%d limit=%d" inflight
@@ -327,32 +314,22 @@ let handle_request t c line =
           let t0 = Unix.gettimeofday () in
           let lines, stop = Serve.handle_line ~conn:c.id t.session line in
           send_lines c.fd lines;
-          Histogram.record c.hist (Unix.gettimeofday () -. t0);
+          Histogram.record t.latency (Unix.gettimeofday () -. t0);
           stop)
 
 let handle_connection t fd =
+  Mutex.lock t.m;
+  t.active <- t.active + 1;
+  t.conn_seq <- t.conn_seq + 1;
+  let id = t.conn_seq in
+  Mutex.unlock t.m;
   let c =
-    Mutex.lock t.m;
-    t.active <- t.active + 1;
-    t.conn_seq <- t.conn_seq + 1;
-    let c =
-      { fd; id = t.conn_seq;
-        hist = Histogram.create ~scale:1e9 "server.request.latency";
-        buf = Buffer.create 256; chunk = Bytes.create 4096; at_eof = false }
-    in
-    Hashtbl.replace t.conn_hists c.id c.hist;
-    Mutex.unlock t.m;
-    c
+    { fd; id; buf = Buffer.create 256; chunk = Bytes.create 4096; at_eof = false }
   in
   Fun.protect
     ~finally:(fun () ->
       (try Unix.close fd with _ -> ());
       Mutex.lock t.m;
-      (* absorb this connection's latencies as the live entry drops —
-         both under the mutex, so STATS quantiles never lose (or double
-         count) a closing connection *)
-      Histogram.merge_into ~into:t.closed_hist c.hist;
-      Hashtbl.remove t.conn_hists c.id;
       t.active <- t.active - 1;
       Mutex.unlock t.m)
     (fun () ->
@@ -391,7 +368,6 @@ let enqueue t fd =
   else t.shed_connections <- t.shed_connections + 1;
   Mutex.unlock t.m;
   if not room then begin
-    Obs.incr "serve.connection.shed";
     send_line_opt fd
       (Printf.sprintf "ERR class=overloaded pending=%d backlog=%d" pending
          t.backlog);
@@ -423,7 +399,6 @@ let accept_loop t =
                 _ ) ->
           ()
         | fd, _ -> (
-          Obs.incr "serve.connection.accepted";
           (* [serve.accept] sheds exactly this connection — the listener
              itself survives and keeps accepting. *)
           match Fault.hit Fault.serve_accept with
@@ -491,7 +466,7 @@ let run ?on_drain t =
   t.started <- Unix.gettimeofday ();
   Session.set_stats_hook t.session (fun () -> stats_rows t);
   (* The serving path always measures: per-verb registry histograms and
-     the per-connection STATS quantiles are part of the server surface. *)
+     the STATS latency quantiles are part of the server surface. *)
   let prev_recording = Histogram.recording () in
   Histogram.set_enabled true;
   (* Writes to a hung-up peer must raise EPIPE, not kill the process. *)

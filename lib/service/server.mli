@@ -82,12 +82,14 @@ val address_string : address -> string
 
 val session : t -> Session.t
 
-val stats_rows : t -> (string * string) list
+val stats_rows : t -> Obda_obs.Exposition.row list
 (** The server rows appended to [STATS] via {!Session.set_stats_hook}:
     [server.uptime-s], [server.connections.accepted] / [.active] /
     [.shed], [server.requests.served] / [.shed] / [.inflight],
     [server.snapshot.revisions] (the {!Session.frozen_span} as ["lo-hi"],
     or ["-"] before the first freeze), and [server.p50-ms] / [.p95-ms] /
-    [.p99-ms] — request-latency quantiles from the per-connection
-    histograms (closed connections absorbed at close time, live ones
-    merged on demand; see {!Obda_obs.Histogram}). *)
+    [.p99-ms] — quantiles of the one request-latency histogram that every
+    connection worker records into, lock-free (see
+    {!Obda_obs.Histogram}).  Accepted, shed and served counts are
+    counters; the rest are gauges.  A connection shed by the
+    [serve.accept] fault counts as accepted and shed. *)

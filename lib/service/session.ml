@@ -19,6 +19,7 @@ module Budget = Obda_runtime.Budget
 module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
 module Obs = Obda_obs.Obs
+module Exposition = Obda_obs.Exposition
 
 type t = {
   lock : Mutex.t;
@@ -33,10 +34,10 @@ type t = {
   prepared : (string, Prepared.t) Hashtbl.t;
   cache : Cache.t;
   budget : Budget.t;
-  mutable requests : int;
+  requests : int Atomic.t;
   mutable frozen_span : (int * int) option;
       (* min/max ABox revision ever served through [freeze] *)
-  mutable stats_hook : (unit -> (string * string) list) option;
+  mutable stats_hook : (unit -> Exposition.row list) option;
   mutable wal : Wal.t option;
       (* appended to under the lock, BEFORE a mutation is applied *)
   created : float;
@@ -64,7 +65,7 @@ let create ?(budget = Budget.none) ?cache_entries ?cache_weight () =
     prepared = Hashtbl.create 16;
     cache = Cache.create ?max_entries:cache_entries ?max_weight:cache_weight ();
     budget;
-    requests = 0;
+    requests = Atomic.make 0;
     frozen_span = None;
     stats_hook = None;
     wal = None;
@@ -77,8 +78,7 @@ let tbox t = t.tbox
 let abox t = t.abox
 let close (_ : t) = ()
 
-let count_request t = with_lock t (fun () -> t.requests <- t.requests + 1)
-let requests t = t.requests
+let count_request t = Atomic.incr t.requests
 
 let set_stats_hook t hook = with_lock t (fun () -> t.stats_hook <- Some hook)
 let attach_wal t wal = with_lock t (fun () -> t.wal <- Some wal)
@@ -262,39 +262,32 @@ let stats t =
      trouble. *)
   let base, hook =
     with_lock t (fun () ->
-        let cache = t.cache in
         let wal_rows =
           match t.wal with Some wal -> Wal.stats_rows wal | None -> []
         in
-        let consistency =
-          match
-            if t.tbox = None then Some true
-            else
-              Hashtbl.find_opt t.consistency
-                (t.generation, Abox.revision t.abox)
-          with
-          | Some true -> "yes"
-          | Some false -> "no"
-          | None -> "unknown"
+        let consistent =
+          if t.tbox = None then Some true
+          else
+            Hashtbl.find_opt t.consistency (t.generation, Abox.revision t.abox)
+        and axioms =
+          match t.tbox with None -> 0 | Some tb -> List.length (Tbox.axioms tb)
         in
-        ( [
-            ("requests", string_of_int t.requests);
-            ("ontology.loaded", if t.tbox = None then "no" else "yes");
-            ( "ontology.axioms",
-              match t.tbox with
-              | None -> "0"
-              | Some tb -> string_of_int (List.length (Tbox.axioms tb)) );
-            ("data.atoms", string_of_int (Abox.num_atoms t.abox));
-            ("data.individuals", string_of_int (Abox.num_individuals t.abox));
-            ("data.revision", string_of_int (Abox.revision t.abox));
-            ("consistent", consistency);
-            ("prepared", string_of_int (Hashtbl.length t.prepared));
-            ("cache.entries", string_of_int (Cache.length cache));
-            ("cache.weight", string_of_int (Cache.weight cache));
-            ("cache.hits", string_of_int (Cache.hits cache));
-            ("cache.misses", string_of_int (Cache.misses cache));
-            ("cache.evictions", string_of_int (Cache.evictions cache));
-          ]
+        ( Exposition.
+            [
+              Counter ("requests", Atomic.get t.requests);
+              Gauge ("ontology.loaded", Bool (Some (t.tbox <> None)));
+              Gauge ("ontology.axioms", Int axioms);
+              Gauge ("data.atoms", Int (Abox.num_atoms t.abox));
+              Gauge ("data.individuals", Int (Abox.num_individuals t.abox));
+              Gauge ("data.revision", Int (Abox.revision t.abox));
+              Gauge ("consistent", Bool consistent);
+              Gauge ("prepared", Int (Hashtbl.length t.prepared));
+              Gauge ("cache.entries", Int (Cache.length t.cache));
+              Gauge ("cache.weight", Int (Cache.weight t.cache));
+              Counter ("cache.hits", Cache.hits t.cache);
+              Counter ("cache.misses", Cache.misses t.cache);
+              Counter ("cache.evictions", Cache.evictions t.cache);
+            ]
           @ wal_rows,
           t.stats_hook ))
   in

@@ -22,7 +22,7 @@ module Omq = Obda_rewriting.Omq
 module Parse = Obda_parse.Parse
 module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
-module Obs = Obda_obs.Obs
+module Exposition = Obda_obs.Exposition
 module Histogram = Obda_obs.Histogram
 
 (* ------------------------------------------------------------------ *)
@@ -434,8 +434,7 @@ let recover ?(repair = false) dir =
       if record.rseq <= floor then incr skipped
       else begin
         apply_record state record;
-        incr replayed;
-        Obs.incr "wal.replayed"
+        incr replayed
       end)
     records;
   if repair && torn_bytes > 0 then begin
@@ -527,8 +526,7 @@ let sync t =
     Histogram.record h_sync (Unix.gettimeofday () -. t0);
     t.dirty <- false;
     t.last_sync <- Unix.gettimeofday ();
-    t.synced <- t.synced + 1;
-    Obs.incr "wal.synced"
+    t.synced <- t.synced + 1
   end
 
 let maybe_sync t =
@@ -558,7 +556,7 @@ let append t mutation ~revision =
   t.bytes <- t.bytes + String.length framed;
   t.since_checkpoint <- t.since_checkpoint + 1;
   match maybe_sync t with
-  | () -> Obs.incr "wal.appended"
+  | () -> ()
   | exception e ->
     (* Written but not durable: the client will see this mutation's ERR
        and the store will not apply it, so the record must not survive
@@ -609,7 +607,6 @@ let checkpoint t ~tbox ~abox ~prepared =
   t.ckpt_seq <- seq;
   t.since_checkpoint <- 0;
   t.checkpoints_written <- t.checkpoints_written + 1;
-  Obs.incr "wal.checkpointed";
   seq
 
 let close t =
@@ -617,11 +614,12 @@ let close t =
   try Unix.close t.fd with _ -> ()
 
 let stats_rows t =
-  [
-    ("server.wal.seq", string_of_int t.seq);
-    ("server.wal.appended", string_of_int t.appended);
-    ("server.wal.bytes", string_of_int t.bytes);
-    ("server.wal.syncs", string_of_int t.synced);
-    ("server.wal.checkpoints", string_of_int t.checkpoints_written);
-    ("server.wal.replayed", string_of_int t.replayed_at_open);
-  ]
+  Exposition.
+    [
+      Gauge ("server.wal.seq", Int t.seq);
+      Counter ("server.wal.appended", t.appended);
+      Counter ("server.wal.bytes", t.bytes);
+      Counter ("server.wal.syncs", t.synced);
+      Counter ("server.wal.checkpoints", t.checkpoints_written);
+      Gauge ("server.wal.replayed", Int t.replayed_at_open);
+    ]

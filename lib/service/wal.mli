@@ -25,9 +25,9 @@
     damaged must not be silently dropped.
 
     Fault sites: [wal.append] guards every record append, [wal.sync]
-    every fsync, [wal.recover] the recovery entry point.  Telemetry:
-    [wal.appended]/[wal.synced]/[wal.replayed]/[wal.checkpointed]
-    counters and the [serve.wal.sync.latency] histogram.
+    every fsync, [wal.recover] the recovery entry point.  Metrics: the
+    {!stats_rows} of a live log, and the [serve.wal.sync.latency]
+    histogram.
 
     Appends and checkpoints must be externally serialised — the session
     drives both from under its lock, making log order mutation order —
@@ -142,6 +142,7 @@ val policy : t -> sync_policy
 val last_seq : t -> int
 (** Highest sequence number assigned so far. *)
 
-val stats_rows : t -> (string * string) list
-(** The [server.wal.*] STATS rows: sequence number, records/bytes
-    appended, fsyncs, checkpoints written and records replayed at open. *)
+val stats_rows : t -> Obda_obs.Exposition.row list
+(** The [server.wal.*] STATS rows: the sequence number (a gauge), records
+    and bytes appended, fsyncs and checkpoints written (counters), and the
+    records replayed at open (a gauge; [obda recover] prints it too). *)

@@ -412,6 +412,37 @@ let test_recursive_fixpoint () =
     (trel.index_builds >= 1);
   check "rounds did not rebuild indexes" true (trel.index_builds <= 2)
 
+(* [eval.derived_facts] counts each derived tuple once: a straight
+   stratum by the size of its fresh relation (a duplicate from a second
+   clause is not derived again), a fixpoint by the tuples each round
+   finds new.  Both engines agree. *)
+let test_derived_facts_counter () =
+  let q =
+    Ndl.make ~goal:(sym "Gdf") ~goal_args:[ "x" ]
+      [
+        { Ndl.head = (sym "Tdf", [ v "x"; v "y" ]); body = [ p "E" [ v "x"; v "y" ] ] };
+        {
+          Ndl.head = (sym "Tdf", [ v "x"; v "z" ]);
+          body = [ p "Tdf" [ v "x"; v "y" ]; p "E" [ v "y"; v "z" ] ];
+        };
+        { Ndl.head = (sym "Gdf", [ v "x" ]); body = [ p "Tdf" [ v "x"; v "y" ]; p "A" [ v "y" ] ] };
+        { Ndl.head = (sym "Gdf", [ v "x" ]); body = [ p "E" [ v "x"; v "y" ]; p "A" [ v "y" ] ] };
+      ]
+  in
+  let a =
+    abox_of_facts
+      [ `B ("E", "d0", "d1"); `B ("E", "d1", "d2"); `B ("E", "d2", "d3"); `U ("A", "d3") ]
+  in
+  List.iter
+    (fun naive ->
+      let r, c = Obs.collecting (fun () -> Eval.run ~naive q a) in
+      let engine = if naive then "naive" else "planned" in
+      (* Tdf: the 6 pairs of the chain's closure; Gdf: d0, d1, d2 *)
+      check_int (engine ^ " generated tuples") 9 r.Eval.generated_tuples;
+      check_int (engine ^ " eval.derived_facts") 9
+        (Obs.Collector.counter c "eval.derived_facts"))
+    [ false; true ]
+
 let test_mutual_recursion () =
   let q =
     Ndl.make ~goal:(sym "Even") ~goal_args:[ "x" ]
@@ -996,6 +1027,8 @@ let suites =
         Alcotest.test_case "recursion detection and fixpoint" `Quick
           test_recursive_fixpoint;
         Alcotest.test_case "mutual recursion" `Quick test_mutual_recursion;
+        Alcotest.test_case "eval.derived_facts counts each tuple once" `Quick
+          test_derived_facts_counter;
         Alcotest.test_case "planner reorders pessimal clause" `Quick
           test_planner_reorders;
         Alcotest.test_case "plan cost model (pinned)" `Quick

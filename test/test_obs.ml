@@ -46,6 +46,39 @@ let test_span_nesting () =
       check "span duration non-negative" true (s.Obs.duration >= 0.))
     (Obs.Collector.spans c)
 
+(* Spans nest per domain: two domains each open spans with a child inside,
+   at the same time; every child is parented to its own domain's span,
+   at depth 1, and every parent is a root. *)
+let test_spans_nest_per_domain () =
+  let work d () =
+    for _ = 1 to 500 do
+      Obs.with_span "outer" ~attrs:[ ("d", d) ] (fun () ->
+          Obs.with_span "inner" ~attrs:[ ("d", d) ] ignore)
+    done
+  in
+  let (), c =
+    Obs.collecting (fun () ->
+        let other = Domain.spawn (work "1") in
+        work "0" ();
+        Domain.join other)
+  in
+  let spans = Obs.Collector.spans c in
+  let by_id = Hashtbl.create 2000 in
+  List.iter (fun (s : Obs.span) -> Hashtbl.replace by_id s.Obs.id s) spans;
+  check_int "every span recorded" 2000 (List.length spans);
+  List.iter
+    (fun (s : Obs.span) ->
+      match (s.Obs.name, s.Obs.parent) with
+      | "outer", parent ->
+        check "an outer span is a root" true (parent = None && s.Obs.depth = 0)
+      | _, Some p ->
+        let outer = Hashtbl.find by_id p in
+        check "an inner span's parent is its own domain's" true
+          (outer.Obs.name = "outer" && outer.Obs.attrs = s.Obs.attrs
+          && s.Obs.depth = 1)
+      | _, None -> Alcotest.fail "an inner span without a parent")
+    spans
+
 let test_counter_aggregation () =
   let (), c =
     Obs.collecting (fun () ->
@@ -359,12 +392,14 @@ let test_exposition_roundtrip () =
       Histogram.reset h;
       List.iter (Histogram.record h) (samples 500 11);
       let stats =
-        [
-          ("t.expo.rows", "3");
-          ("t.expo.flag", "yes");
-          ("t.expo.span", "2-9");
-          ("t.expo.dash", "-");
-        ]
+        Exposition.
+          [
+            Counter ("t.expo.rows", 3);
+            Gauge ("t.expo.flag", Bool (Some true));
+            Gauge ("t.expo.span", Span (Some (2, 9)));
+            Gauge ("t.expo.dash", Span None);
+            Gauge ("t.expo.unknown", Bool None);
+          ]
       in
       let text = Exposition.render stats in
       let lines =
@@ -387,13 +422,20 @@ let test_exposition_roundtrip () =
         | None -> Alcotest.failf "missing exposition sample %s" key
       in
       (* stats rows: numeric pass-through, yes/no, lo-hi spans, dashes
-         skipped *)
+         and unknowns skipped *)
       check "numeric row" true (value "obda_t_expo_rows" = 3.);
       check "yes maps to 1" true (value "obda_t_expo_flag" = 1.);
       check "span lo" true (value "obda_t_expo_span_lo" = 2.);
       check "span hi" true (value "obda_t_expo_span_hi" = 9.);
       check "dash rows are skipped" true
         (not (Hashtbl.mem values "obda_t_expo_dash"));
+      check "unknown rows are skipped" true
+        (not (Hashtbl.mem values "obda_t_expo_unknown"));
+      Alcotest.(check (list string))
+        "STATS lines"
+        [ "t.expo.rows 3"; "t.expo.flag yes"; "t.expo.span 2-9";
+          "t.expo.dash -"; "t.expo.unknown unknown" ]
+        (List.map Exposition.stats_line stats);
       (* the histogram series: cumulative non-decreasing buckets ending in
          +Inf, with a _count that equals the +Inf bucket *)
       let prefix = "obda_t_expo_latency_bucket{" in
@@ -434,6 +476,8 @@ let suites =
     ( "obs",
       [
         Alcotest.test_case "span nesting" `Quick test_span_nesting;
+        Alcotest.test_case "spans nest per domain" `Quick
+          test_spans_nest_per_domain;
         Alcotest.test_case "counter aggregation" `Quick
           test_counter_aggregation;
         Alcotest.test_case "json-lines round-trip" `Quick

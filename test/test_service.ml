@@ -138,21 +138,6 @@ let test_cache_weight_bound () =
   check_int "weight within bound" w (Cache.weight c);
   check_int "evicted k1" 1 (Cache.evictions c)
 
-let test_cache_counters_reach_obs () =
-  let (), coll =
-    Obs.collecting (fun () ->
-        let c = Cache.create ~max_entries:1 () in
-        let add key =
-          ignore (Cache.find_or_add c ~key (fun () -> dummy_query "q(x) <- A(x)"))
-        in
-        add "k1";
-        add "k1";
-        add "k2")
-  in
-  check_int "obs hit" 1 (Obs.Collector.counter coll "service.cache.hit");
-  check_int "obs miss" 2 (Obs.Collector.counter coll "service.cache.miss");
-  check_int "obs evict" 1 (Obs.Collector.counter coll "service.cache.evict")
-
 let test_cache_mru_fast_path () =
   let c = Cache.create () in
   let add key =
@@ -179,26 +164,21 @@ let test_cache_mru_fast_path () =
   check_int "promoted entry hits the fast path" 1 (Cache.relinks c)
 
 let test_cache_failed_build_counts_nothing () =
-  let (), coll =
-    Obs.collecting (fun () ->
-        let c = Cache.create () in
-        check "build failure propagates" true
-          (try
-             ignore (Cache.find_or_add c ~key:"k" (fun () -> failwith "boom"));
-             false
-           with Failure _ -> true);
-        check_int "no resident entry" 0 (Cache.length c);
-        check_int "failed build is not a miss" 0 (Cache.misses c);
-        check_int "nor a hit" 0 (Cache.hits c);
-        (* the retry builds for real and is the first (and only) miss *)
-        let _, o =
-          Cache.find_or_add c ~key:"k" (fun () -> dummy_query "q(x) <- A(x)")
-        in
-        check "retry misses" true (o = `Miss);
-        check_int "one miss after the retry" 1 (Cache.misses c))
+  let c = Cache.create () in
+  check "build failure propagates" true
+    (try
+       ignore (Cache.find_or_add c ~key:"k" (fun () -> failwith "boom"));
+       false
+     with Failure _ -> true);
+  check_int "no resident entry" 0 (Cache.length c);
+  check_int "failed build is not a miss" 0 (Cache.misses c);
+  check_int "nor a hit" 0 (Cache.hits c);
+  (* the retry builds for real and is the first (and only) miss *)
+  let _, o =
+    Cache.find_or_add c ~key:"k" (fun () -> dummy_query "q(x) <- A(x)")
   in
-  check_int "telemetry agrees with the counter" 1
-    (Obs.Collector.counter coll "service.cache.miss")
+  check "retry misses" true (o = `Miss);
+  check_int "one miss after the retry" 1 (Cache.misses c)
 
 let test_cache_fault_site_counts_nothing () =
   (* an injected fault at service.cache fires before the table is probed:
@@ -385,14 +365,10 @@ let test_serve_prepare_once_answer_many () =
         done)
   in
   (* the acceptance contract: one rewrite for the whole session *)
-  check_int "exactly one cache miss" 1
-    (Obs.Collector.counter coll "service.cache.miss");
-  check_int "99 cache hits" 99
-    (Obs.Collector.counter coll "service.cache.hit");
-  check_int "no evictions" 0
-    (Obs.Collector.counter coll "service.cache.evict");
-  check_int "session cache agrees (miss)" 1 (Cache.misses (Session.cache s));
-  check_int "session cache agrees (hit)" 99 (Cache.hits (Session.cache s));
+  let cache = Session.cache s in
+  check_int "exactly one cache miss" 1 (Cache.misses cache);
+  check_int "99 cache hits" 99 (Cache.hits cache);
+  check_int "no evictions" 0 (Cache.evictions cache);
   (* every request ran under its own service.request span *)
   let request_spans =
     List.filter
@@ -611,11 +587,12 @@ let test_session_freeze_isolation () =
 let test_session_stats_hook () =
   let s = Session.create () in
   check_int "plain session: exactly 13 rows" 13 (List.length (Session.stats s));
-  Session.set_stats_hook s (fun () -> [ ("x.one", "1"); ("x.two", "2") ]);
-  let rows = Session.stats s in
+  Session.set_stats_hook s (fun () ->
+      Obda_obs.Exposition.[ Counter ("x.one", 1); Gauge ("x.two", Int 2) ]);
+  let rows = List.map Obda_obs.Exposition.stats_line (Session.stats s) in
   check_int "hook rows appended" 15 (List.length rows);
-  check_str "base rows first" "requests" (fst (List.hd rows));
-  check_str "hook rows last" "x.two" (fst (List.hd (List.rev rows)))
+  check_str "base rows first" "requests 0" (List.hd rows);
+  check_str "hook rows last" "x.two 2" (List.hd (List.rev rows))
 
 let test_budget_restart () =
   let b = Budget.create ~timeout:0.2 ~max_steps:10 () in
@@ -718,7 +695,8 @@ let test_race_readers_vs_writers () =
   let s = mk () in
   let p, _ = Session.prepare s ~name:"q" (cq_a ()) in
   let observations = Array.make readers [] in
-  Pool.with_pool ~jobs:(readers + 1) (fun pool ->
+  let pool = Pool.create ~jobs:(readers + 1) in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
       Pool.run pool (fun w ->
           if w = 0 then
             for k = 0 to n_ops - 1 do
@@ -852,11 +830,12 @@ let test_server_overload () =
         (starts_with "ERR class=overloaded" shed);
       check "connection survives the shed" true
         (starts_with "ERR class=overloaded" (first (Client.request c "ANSWER q")));
-      let rows = Server.stats_rows server in
       check "shed counter advanced" true
-        (match List.assoc_opt "server.requests.shed" rows with
-        | Some n -> int_of_string n >= 2
-        | None -> false);
+        (List.exists
+           (function
+             | Obda_obs.Exposition.Counter ("server.requests.shed", n) -> n >= 2
+             | _ -> false)
+           (Server.stats_rows server));
       (* QUIT is exempt from admission: clients can always leave *)
       Alcotest.(check (list string))
         "QUIT exempt from admission" [ "OK bye" ] (Client.request c "QUIT");
@@ -1004,20 +983,112 @@ let test_access_log_write_failure () =
     ~finally:(fun () ->
       Serve.clear_access_log ())
     (fun () ->
-      let errors_before = Serve.access_log_error_count () in
-      (* the failing writer must not fail the request *)
-      let lines, stop = Serve.handle_line s "ASSERT A(x)" in
-      check "request still succeeds" true
-        (match lines with l :: _ -> String.sub l 0 2 = "OK" | [] -> false);
-      check "loop continues" false stop;
-      check_int "writer was attempted once" 1 !calls;
-      check_int "failure counted" (errors_before + 1)
-        (Serve.access_log_error_count ());
-      (* the log is disabled after the failure: no further attempts *)
-      ignore (Serve.handle_line s "ASSERT A(y)");
-      check_int "logging disabled after the failure" 1 !calls;
-      check_int "no further failures counted" (errors_before + 1)
-        (Serve.access_log_error_count ()))
+      let (), coll =
+        Obs.collecting (fun () ->
+            (* the failing writer must not fail the request *)
+            let lines, stop = Serve.handle_line s "ASSERT A(x)" in
+            check "request still succeeds" true
+              (match lines with
+              | l :: _ -> String.sub l 0 2 = "OK"
+              | [] -> false);
+            check "loop continues" false stop;
+            check_int "writer was attempted once" 1 !calls;
+            (* the log is disabled after the failure: no further attempts *)
+            ignore (Serve.handle_line s "ASSERT A(y)");
+            check_int "logging disabled after the failure" 1 !calls)
+      in
+      check_int "the one failure counted" 1
+        (Obs.Collector.counter coll "serve.access_log.errors"))
+
+(* --slow-ms under concurrent requests: the slow-query sink is teed beside
+   the installed sink for as long as the log is armed, instead of swapping
+   the process-wide slot around every request.  Two domains run slow-armed
+   requests; afterwards the sink state from before arming is back, each
+   slow line is one request's tree under one service.request root, an
+   installed sink kept every request span, and the heap stays flat over
+   further requests. *)
+let test_slow_log_under_concurrent_requests () =
+  let module Pool = Obda_runtime.Pool in
+  let module Json = Obda_obs.Json in
+  let s = Session.create () in
+  Session.load_ontology s (tbox ());
+  Session.load_data s (abox ());
+  ignore (Serve.handle_line s "PREPARE q q(x) <- A(x)");
+  let per_domain = 2000 in
+  let slow_armed_requests write =
+    Serve.set_access_log ~slow_ms:0. write;
+    Fun.protect ~finally:Serve.clear_access_log (fun () ->
+        let pool = Pool.create ~jobs:2 in
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            Pool.run pool (fun _ ->
+                for _ = 1 to per_domain do
+                  ignore (Serve.handle_line s "ANSWER q")
+                done)))
+  in
+  let logged = ref [] and m = Mutex.create () in
+  let write line =
+    Mutex.lock m;
+    logged := line :: !logged;
+    Mutex.unlock m
+  in
+  check "no sink before arming" false (Obs.enabled ());
+  slow_armed_requests write;
+  check "the sink state from before arming is back" false (Obs.enabled ());
+  let slow =
+    List.filter_map
+      (fun line ->
+        match Json.parse line with
+        | Ok j when Json.member "type" j = Some (Json.String "slow") -> Some j
+        | Ok _ -> None
+        | Error e -> Alcotest.failf "unparsable log line %S: %s" line e)
+      !logged
+  in
+  check_int "one slow line per request" (2 * per_domain) (List.length slow);
+  List.iter
+    (fun j ->
+      let spans =
+        match Json.member "spans" j with
+        | Some (Json.List spans) -> spans
+        | _ -> Alcotest.fail "slow line without spans"
+      in
+      let named n sp = Json.member "name" sp = Some (Json.String n) in
+      let roots =
+        List.filter (fun sp -> Json.member "depth" sp = Some (Json.Int 0)) spans
+      in
+      check "one root per slow line" true
+        (match roots with [ root ] -> named "service.request" root | _ -> false);
+      check_int "one service.request per slow line" 1
+        (List.length (List.filter (named "service.request") spans)))
+    slow;
+  (* an installed sink keeps every request span, and stays installed *)
+  let c = Obs.Collector.create () in
+  Obs.install (Obs.Collector.sink c);
+  Fun.protect ~finally:Obs.uninstall (fun () ->
+      slow_armed_requests ignore;
+      check "the installed sink is back" true (Obs.enabled ()));
+  check_int "the installed sink saw every request" (2 * per_domain)
+    (List.length
+       (List.filter
+          (fun (sp : Obs.span) -> sp.Obs.name = "service.request")
+          (Obs.Collector.spans c)));
+  (* nothing keeps collecting once the log is cleared *)
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let requests () =
+    for _ = 1 to 20_000 do
+      ignore (Serve.handle_line s "ANSWER q")
+    done
+  in
+  requests ();
+  let before = live () in
+  requests ();
+  let grown = live () - before in
+  check (Printf.sprintf "heap flat over 20,000 requests (%d words)" grown)
+    true (grown < 100_000)
 
 let test_serve_ping_and_checkpoint_without_wal () =
   let s = Session.create () in
@@ -1042,8 +1113,6 @@ let suites =
         Alcotest.test_case "cache hit/miss" `Quick test_cache_hit_miss;
         Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
         Alcotest.test_case "cache weight bound" `Quick test_cache_weight_bound;
-        Alcotest.test_case "cache counters reach obs" `Quick
-          test_cache_counters_reach_obs;
         Alcotest.test_case "session consistency memo" `Quick
           test_session_consistency_memo;
         Alcotest.test_case "session answers run check once" `Quick
@@ -1094,6 +1163,8 @@ let suites =
           test_server_graceful_stop;
         Alcotest.test_case "METRICS exposition round-trip" `Quick
           test_metrics_roundtrip;
+        Alcotest.test_case "slow-query log under concurrent requests" `Quick
+          test_slow_log_under_concurrent_requests;
         Alcotest.test_case "access log absorbs write failures" `Quick
           test_access_log_write_failure;
         Alcotest.test_case "PING and CHECKPOINT without durability" `Quick

@@ -645,37 +645,164 @@ let test_two_durable_sessions () =
                 (facts_key (Abox.of_facts [ fa "a1" ]))
                 (facts_key (Wal.recover dir_a).Wal.abox))))
 
-(* METRICS types the WAL's monotone rows as counters, so a rate over them
-   reads right; the sequence number and the replay count stay gauges. *)
-let test_metrics_types_wal_rows () =
+(* One registry behind STATS, METRICS and the CLI's telemetry sinks: for
+   a session with a WAL behind a server, every STATS row has its METRICS
+   sample(s) under the sanitized name, with its declared kind and the
+   same value, and the same rows reach an installed collector at teardown
+   under their STATS names and kinds.  The kinds are pinned too: a rate
+   over a counter is what [obda top] and Prometheus read. *)
+let test_metrics_registry_agreement () =
+  let module Server = Obda_service.Server in
+  let module Client = Obda_service.Client in
+  let module Exposition = Obda_obs.Exposition in
+  let module Obs = Obda_obs.Obs in
+  let counters =
+    [
+      "requests"; "cache.hits"; "cache.misses"; "cache.evictions";
+      "server.connections.accepted"; "server.connections.shed";
+      "server.requests.served"; "server.requests.shed";
+      "server.wal.appended"; "server.wal.bytes"; "server.wal.syncs";
+      "server.wal.checkpoints";
+    ]
+  in
+  let kind_name = function Obs.Counter -> "counter" | Obs.Gauge -> "gauge" in
+  let number v = Obs.(match v with Int n -> float_of_int n | Float f -> f) in
+  (* "name value" lines, and the samples and # TYPE kinds of METRICS *)
+  let split line =
+    match String.rindex_opt line ' ' with
+    | Some i ->
+      (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+    | None -> Alcotest.failf "unparsable line %S" line
+  in
+  let exposition lines =
+    let types = Hashtbl.create 64 and values = Hashtbl.create 64 in
+    List.iter
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "#"; "TYPE"; name; kind ] -> Hashtbl.replace types name kind
+        | _ when not (String.contains line '{') ->
+          let name, v = split line in
+          Hashtbl.replace values name (float_of_string v)
+        | _ -> ())
+      lines;
+    (types, values)
+  in
   with_temp_dir (fun dir ->
       let session = Session.create () in
-      let wal, _ = Wal.open_ dir in
+      Session.load_ontology session (Parse.ontology_of_string "A(x) -> B(x)");
+      let wal, _ = Wal.open_ (Filename.concat dir "data") in
       Serve.attach_wal session wal;
+      let path = Filename.concat dir "s.sock" in
+      let server = Server.create (Server.Unix_socket path) session in
+      let t = Thread.create (fun () -> ignore (Server.run server)) () in
       Fun.protect
         ~finally:(fun () ->
+          Server.stop server;
+          Thread.join t;
           Serve.detach_wal session;
           Wal.close wal)
         (fun () ->
-          ignore (Serve.handle_line session "ASSERT A(a)");
-          let types =
-            List.filter_map
-              (fun line ->
-                match String.split_on_char ' ' line with
-                | [ "#"; "TYPE"; name; kind ] -> Some (name, kind)
-                | _ -> None)
-              (fst (Serve.handle_line session "METRICS"))
-          in
+          let c = Client.connect (Server.Unix_socket path) in
           List.iter
-            (fun (row, kind) ->
-              let name = "obda_server_wal_" ^ row in
-              check_str name kind
-                (Option.value ~default:"missing" (List.assoc_opt name types)))
-            [
-              ("appended", "counter"); ("bytes", "counter");
-              ("syncs", "counter"); ("checkpoints", "counter");
-              ("seq", "gauge"); ("replayed", "gauge");
-            ]))
+            (fun line -> ignore (Client.request c line))
+            [ "PREPARE q q(x) <- B(x)"; "ASSERT A(a) A(b)"; "ANSWER q";
+              "CHECKPOINT"; "RETRACT A(b)"; "ANSWER q";
+              "PREPARE q q(x) <- B(x)" ];
+          (* the verbs: STATS lists the rows in order, METRICS types them
+             as declared *)
+          let stats_status, stats_lines =
+            match Client.request c "STATS" with
+            | status :: lines -> (status, lines)
+            | [] -> Alcotest.fail "no STATS response"
+          in
+          let types, _ =
+            exposition (List.tl (Client.request c "METRICS"))
+          in
+          Client.close c;
+          let rows = Session.stats session in
+          check_str "13 session, 6 WAL and 11 server rows" "OK stats=30"
+            stats_status;
+          let name_of = function
+            | Exposition.Counter (name, _) | Exposition.Gauge (name, _) -> name
+          in
+          Alcotest.(check (list string))
+            "STATS names, in order" (List.map name_of rows)
+            (List.map (fun l -> fst (split l)) stats_lines);
+          check "two revisions served" true
+            (List.mem "server.snapshot.revisions 2-3" stats_lines);
+          (* one snapshot of the rows, rendered by each consumer *)
+          let metric_types, metric_values =
+            exposition
+              (String.split_on_char '\n' (Exposition.render rows)
+              |> List.filter (( <> ) ""))
+          in
+          let (), collector =
+            Obs.collecting (fun () -> Exposition.publish rows)
+          in
+          let published = Obs.Collector.metrics collector in
+          let samples = ref 0 in
+          List.iter
+            (fun row ->
+              let name, value = split (Exposition.stats_line row) in
+              let kind =
+                match row with
+                | Exposition.Counter _ -> Obs.Counter
+                | Exposition.Gauge _ -> Obs.Gauge
+              in
+              check_str (name ^ " declared kind")
+                (if List.mem name counters then "counter" else "gauge")
+                (kind_name kind);
+              (* the samples a reader of the STATS line expects *)
+              let expected, tolerance =
+                match (int_of_string_opt value, String.split_on_char '-' value) with
+                | Some n, _ -> ([ (name, float_of_int n) ], 0.)
+                | None, [ lo; hi ] when lo <> "" && hi <> "" ->
+                  ( [ (name ^ "_lo", float_of_string lo);
+                      (name ^ "_hi", float_of_string hi) ],
+                    0. )
+                | None, _ -> (
+                  match value with
+                  | "yes" -> ([ (name, 1.) ], 0.)
+                  | "no" -> ([ (name, 0.) ], 0.)
+                  | "unknown" | "-" -> ([], 0.)
+                  | _ ->
+                    let decimals =
+                      String.length value - String.index value '.' - 1
+                    in
+                    ( [ (name, float_of_string value) ],
+                      0.5 *. (10. ** float_of_int (-decimals)) +. 1e-12 ))
+              in
+              if expected = [] then
+                check (name ^ " has no sample") false
+                  (Hashtbl.mem metric_values (Exposition.sanitize name));
+              samples := !samples + List.length expected;
+              List.iter
+                (fun (sample, v) ->
+                  let exposed = Exposition.sanitize sample in
+                  check_str (exposed ^ " # TYPE") (kind_name kind)
+                    (Option.value ~default:"missing"
+                       (Hashtbl.find_opt metric_types exposed));
+                  check_str (exposed ^ " # TYPE over the wire") (kind_name kind)
+                    (Option.value ~default:"missing"
+                       (Hashtbl.find_opt types exposed));
+                  (match Hashtbl.find_opt metric_values exposed with
+                  | Some m ->
+                    check (exposed ^ " = STATS value") true
+                      (Float.abs (m -. v) <= tolerance)
+                  | None -> Alcotest.failf "no METRICS sample %s" exposed);
+                  match
+                    List.find_opt (fun (n, _, _) -> n = sample) published
+                  with
+                  | Some (_, k, m) ->
+                    check_str (sample ^ " published kind") (kind_name kind)
+                      (kind_name k);
+                    check (sample ^ " published = STATS value") true
+                      (Float.abs (number m -. v) <= tolerance)
+                  | None -> Alcotest.failf "%s not published" sample)
+                expected)
+            rows;
+          check_int "nothing published beyond the rows' samples" !samples
+            (List.length published)))
 
 let suites =
   [
@@ -722,7 +849,7 @@ let suites =
           test_checkpoint_every_trigger;
         Alcotest.test_case "two durable sessions keep their own logs" `Quick
           test_two_durable_sessions;
-        Alcotest.test_case "METRICS types the WAL counters" `Quick
-          test_metrics_types_wal_rows;
+        Alcotest.test_case "STATS, METRICS and telemetry agree" `Quick
+          test_metrics_registry_agreement;
       ] );
   ]
