@@ -418,7 +418,9 @@ let adaptive () =
         (fun n ->
           let q = prefix_query sequence1 n in
           let c = Obda_rewriting.Adaptive.choose tbox q abox in
-          let o = evaluate ~timeout:!timeout c.Obda_rewriting.Adaptive.query abox in
+          let o =
+            evaluate ~answer:true ~timeout:!timeout c.Obda_rewriting.Adaptive.query abox
+          in
           print_row widths
             [
               dname;

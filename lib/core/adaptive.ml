@@ -1,121 +1,21 @@
-open Obda_syntax
 open Obda_cq
 open Obda_data
 module Ndl = Obda_ndl.Ndl
 module Eval = Obda_ndl.Eval
 module Star = Obda_ndl.Star
 module Optimize = Obda_ndl.Optimize
+module Demand = Obda_ndl.Demand
 
-type stats = { sizes : int Symbol.Tbl.t; domain : int }
-
-let stats_of_abox abox =
-  let sizes = Symbol.Tbl.create 32 in
-  List.iter
-    (fun p -> Symbol.Tbl.replace sizes p (List.length (Abox.unary_members abox p)))
-    (Abox.unary_preds abox);
-  List.iter
-    (fun p ->
-      Symbol.Tbl.replace sizes p (List.length (Abox.binary_members abox p)))
-    (Abox.binary_preds abox);
-  { sizes; domain = max 1 (Abox.num_individuals abox) }
-
-let cardinality st p = Symbol.Tbl.find_opt st.sizes p
-
-(* ------------------------------------------------------------------ *)
-(* Cost model *)
-
-module VarSet = Set.Make (String)
-
-(* cost of one clause given a size oracle for its body predicates: walk the
-   atoms greedily (most-bound first, as the engine does) and accumulate the
-   estimated intermediate result sizes *)
-let clause_cost st size_of (c : Ndl.clause) =
-  let d = float_of_int st.domain in
-  let remaining = ref c.Ndl.body in
-  let bound = ref VarSet.empty in
-  let bound_term = function
-    | Ndl.Var v -> VarSet.mem v !bound
-    | Ndl.Cst _ -> true
+(* The tuples the planner estimates the goal-directed evaluation of [q]
+   over [abox] reads: {!Obda_ndl.Demand}'s estimate pass, over the ABox's
+   own statistics. *)
+let estimate abox q =
+  let d =
+    Demand.transform ~goal_directed:true
+      ~relation:(fun p arity -> Abox.relation abox p ~arity)
+      ~domain:(Abox.num_individuals abox) q
   in
-  let bound_count a =
-    List.length (List.filter bound_term (Ndl.atom_terms a))
-  in
-  let current = ref 1.0 in
-  let cost = ref 0.0 in
-  while !remaining <> [] do
-    let atom =
-      List.fold_left
-        (fun best a ->
-          match best with
-          | None -> Some a
-          | Some b -> if bound_count a > bound_count b then Some a else best)
-        None !remaining
-      |> Option.get
-    in
-    remaining := List.filter (fun a -> a != atom) !remaining;
-    let size =
-      match atom with
-      | Ndl.Pred (p, ts) -> (
-        match size_of p (List.length ts) with
-        | Some s -> float_of_int (max 1 s)
-        | None -> d (* unknown predicate: guess |domain| *))
-      | Ndl.Eq _ -> 1.0
-      | Ndl.Dom _ -> d
-    in
-    let b = bound_count atom in
-    (* each bound position filters the relation by roughly 1/domain *)
-    let multiplier = max (size /. (d ** float_of_int b)) 0.001 in
-    current := !current *. multiplier;
-    cost := !cost +. max !current 1.0;
-    List.iter
-      (fun v -> bound := VarSet.add v !bound)
-      (Ndl.atom_vars atom)
-  done;
-  (!cost, max !current 0.001)
-
-let estimate_cost st (q : Ndl.query) =
-  match Ndl.topo_order q with
-  | exception Invalid_argument _ -> infinity
-  | order ->
-    let idb_size : float Symbol.Tbl.t = Symbol.Tbl.create 16 in
-    let size_of p arity =
-      match Symbol.Tbl.find_opt idb_size p with
-      | Some s -> Some (int_of_float (min s 1e9))
-      | None -> (
-        match cardinality st p with
-        | Some s -> Some s
-        | None ->
-          if Symbol.Set.mem p (Ndl.idb_preds q) then None
-          else Some (if arity = 1 then st.domain / 4 else st.domain) )
-    in
-    let by_head = Symbol.Tbl.create 16 in
-    List.iter
-      (fun (c : Ndl.clause) ->
-        let cur =
-          Option.value ~default:[] (Symbol.Tbl.find_opt by_head (fst c.Ndl.head))
-        in
-        Symbol.Tbl.replace by_head (fst c.Ndl.head) (c :: cur))
-      q.Ndl.clauses;
-    let total = ref 0.0 in
-    List.iter
-      (fun p ->
-        let clauses = Option.value ~default:[] (Symbol.Tbl.find_opt by_head p) in
-        let size = ref 0.0 in
-        List.iter
-          (fun c ->
-            let cost, out = clause_cost st size_of c in
-            total := !total +. cost;
-            size := !size +. out)
-          clauses;
-        let arity =
-          match clauses with
-          | c :: _ -> List.length (snd c.Ndl.head)
-          | [] -> 0
-        in
-        let cap = float_of_int st.domain ** float_of_int (max arity 1) in
-        Symbol.Tbl.replace idb_size p (min !size cap))
-      order;
-    !total
+  Lazy.force d.cost
 
 (* ------------------------------------------------------------------ *)
 (* Candidates *)
@@ -125,7 +25,7 @@ type candidate = { name : string; query : Ndl.query; cost : float }
 let lin_variant tbox q root =
   Star.complete_to_arbitrary_linear tbox (Lin_rewriter.rewrite ~root tbox q)
 
-let candidates tbox q st =
+let candidates tbox q abox =
   let omq = Omq.make tbox q in
   let raw = ref [] in
   let add name query = raw := (name, query) :: !raw in
@@ -151,11 +51,11 @@ let candidates tbox q st =
     add "Tw" tw;
     add "Tw*" (Optimize.inline_single_use tw)
   end;
-  List.map (fun (name, query) -> { name; query; cost = estimate_cost st query }) !raw
+  List.map (fun (name, query) -> { name; query; cost = estimate abox query }) !raw
   |> List.sort (fun a b -> Float.compare a.cost b.cost)
 
 let choose tbox q abox =
-  match candidates tbox q (stats_of_abox abox) with
+  match candidates tbox q abox with
   | best :: _ -> best
   | [] -> invalid_arg "Adaptive.choose: no applicable rewriting"
 

@@ -4,27 +4,19 @@
     tables to estimate the evaluation cost of candidate NDL programs and
     pick the cheapest.
 
-    The cost model is a Selinger-style estimate: clauses are costed along
-    the same greedy join order the evaluation engine uses, with EDB
-    cardinalities taken from the data and IDB cardinalities propagated
-    bottom-up through the dependence order. *)
+    A candidate's cost is {!Obda_ndl.Demand}'s estimate pass, the one cost
+    model the evaluator plans with: the tuples {!Obda_ndl.Plan} estimates
+    the goal-directed evaluation of the candidate reads, with EDB
+    statistics read off the ABox and IDB cardinalities propagated stratum
+    by stratum. *)
 
 open Obda_ontology
 open Obda_cq
 open Obda_data
 
-type stats
-
-val stats_of_abox : Abox.t -> stats
-val cardinality : stats -> Obda_syntax.Symbol.t -> int option
-
-val estimate_cost : stats -> Obda_ndl.Ndl.query -> float
-(** Estimated number of intermediate tuples touched when materialising the
-    program bottom-up. *)
-
 type candidate = { name : string; query : Obda_ndl.Ndl.query; cost : float }
 
-val candidates : Tbox.t -> Cq.t -> stats -> candidate list
+val candidates : Tbox.t -> Cq.t -> Abox.t -> candidate list
 (** Costed applicable variants: Lin with each endpoint (and the centre) as
     root, Log, Tw, and Tw* — all over arbitrary instances, sorted by
     estimated cost. *)

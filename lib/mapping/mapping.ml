@@ -66,7 +66,7 @@ let materialise rules src =
         (clauses_of rules)
     in
     let result =
-      Eval.run
+      Eval.materialise
         ~edb:(Source.edb_provider src)
         ~extra_domain:(Source.constants src)
         program (Abox.create ())

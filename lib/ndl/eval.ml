@@ -15,22 +15,6 @@ type catom = Plan.catom =
   | CEq of cterm * cterm
   | CDom of cterm
 
-let compile_clause (c : Ndl.clause) =
-  let vars = Ndl.clause_vars c in
-  let index = Hashtbl.create 8 in
-  List.iteri (fun i v -> Hashtbl.replace index v i) vars;
-  let cterm = function
-    | Ndl.Var v -> CV (Hashtbl.find index v)
-    | Ndl.Cst c -> CC (c :> int)
-  in
-  let catom = function
-    | Ndl.Pred (p, ts) -> CPred (p, Array.of_list (List.map cterm ts))
-    | Ndl.Eq (t1, t2) -> CEq (cterm t1, cterm t2)
-    | Ndl.Dom t -> CDom (cterm t)
-  in
-  let head = Array.of_list (List.map cterm (snd c.head)) in
-  (List.length vars, Array.of_list vars, head, List.map catom c.body)
-
 (* A plan step as the matcher runs it.  The plan fixes which variables are
    bound when each step runs, so a predicate step's key, the checks on each
    row it reads and the slots it binds are all known before evaluation. *)
@@ -148,6 +132,9 @@ type env = {
          domains at once *)
   abox : Abox.t;
   external_edb : Symbol.t -> int -> Symbol.t list list option;
+  external_relations : Relation.t Symbol.Tbl.t;
+      (* the external EDB relations built so far, registered in
+         [relations] only when a clause reads them *)
   domain : int array Lazy.t;
       (* ⊤, sorted for membership by binary search; built on first use *)
   budget : Budget.t;
@@ -165,38 +152,51 @@ let rec sorted_mem a c lo hi =
   let v = a.(mid) in
   v = c || if v < c then sorted_mem a c (mid + 1) hi else sorted_mem a c lo mid
 
+let check_arity p (r : Relation.t) arity =
+  if r.arity <> arity then
+    Error.parse_error ~line:0 "relation %a is used with arities %d and %d"
+      Symbol.pp p r.arity arity
+
+(* An EDB predicate's relation, the external source first, then the ABox;
+   registered nowhere, so reading statistics or emptiness off it leaves
+   the planner's view of the run as it was. *)
+let edb_relation env p ~arity =
+  match Symbol.Tbl.find_opt env.external_relations p with
+  | Some r ->
+    check_arity p r arity;
+    Some r
+  | None -> (
+    match env.external_edb p arity with
+    | Some tuples ->
+      let r = Relation.create arity and row = Array.make arity 0 in
+      List.iter
+        (fun tuple ->
+          (* a short or long row would be read across its neighbours in
+             the strided buffer *)
+          let n = List.length tuple in
+          if n <> arity then
+            Error.parse_error ~line:0
+              "relation %a has a row of arity %d in the data source but \
+               arity %d in the query"
+              Symbol.pp p n arity;
+          List.iteri (fun k (c : Symbol.t) -> row.(k) <- (c :> int)) tuple;
+          ignore (Relation.add r row 0))
+        tuples;
+      Symbol.Tbl.replace env.external_relations p r;
+      Some r
+    | None -> Abox.relation env.abox p ~arity)
+
 let get_relation env p ~arity =
   match Symbol.Tbl.find_opt env.relations p with
   | Some r ->
-    if r.Relation.arity <> arity then
-      Error.parse_error ~line:0 "relation %a is used with arities %d and %d"
-        Symbol.pp p r.arity arity;
+    check_arity p r arity;
     r
   | None ->
-    (* an EDB predicate: the external source first, then the ABox *)
     let r =
-      match env.external_edb p arity with
-      | Some tuples ->
-        let r = Relation.create arity and row = Array.make arity 0 in
-        List.iter
-          (fun tuple ->
-            (* a short or long row would be read across its neighbours in
-               the strided buffer *)
-            let n = List.length tuple in
-            if n <> arity then
-              Error.parse_error ~line:0
-                "relation %a has a row of arity %d in the data source but \
-                 arity %d in the query"
-                Symbol.pp p n arity;
-            List.iteri (fun k (c : Symbol.t) -> row.(k) <- (c :> int)) tuple;
-            ignore (Relation.add r row 0))
-          tuples;
-        r
-      | None -> (
-        match Abox.relation env.abox p ~arity with
-        | Some r -> r
-        | None when arity <= 2 -> Relation.create arity
-        | None -> invalid_arg (Printf.sprintf "Eval: EDB predicate of arity %d" arity))
+      match edb_relation env p ~arity with
+      | Some r -> r
+      | None when arity <= 2 -> Relation.create arity
+      | None -> invalid_arg (Printf.sprintf "Eval: EDB predicate of arity %d" arity)
     in
     Symbol.Tbl.replace env.relations p r;
     r
@@ -276,7 +276,7 @@ let stats_of_env env ~transient =
   }
 
 let compile_and_plan env ~naive ~transient (c : Ndl.clause) =
-  let nvars, names, head, body = compile_clause c in
+  let nvars, names, head, body = Plan.compile c in
   let plan =
     if naive then
       (* legacy order first (its scoring expects lazily materialised EDB
@@ -438,38 +438,14 @@ let eval_compiled env target cc =
    whole compiled program across runs of the same query value: [Prepared]
    queries replan only when the store size drifts past a threshold. *)
 
-(* A renaming clause [p(a_π) <- s(a)]: one body atom over distinct
-   variables, and a head that permutes them.  [perm.(j)] is the head
-   position of the body's [j]th variable, so [p(t)] holds exactly when
-   [s(u)] does, with [u_j = t_(perm j)]. *)
-type renaming = {
+(* A renaming clause [p(a_π) <- s(a)] ({!Demand.renaming_of}): [p(t)]
+   holds exactly when [s(u)] does, with [u_j = t_(perm j)]. *)
+type renaming = Demand.renaming = {
   src : Symbol.t;
   arity : int;
   perm : int array;
   identity : bool;  (* [perm.(j) = j] for every [j]: [p] holds [s]'s rows *)
 }
-
-let renaming_of (c : Ndl.clause) =
-  let vars ts =
-    List.filter_map (function Ndl.Var v -> Some v | Ndl.Cst _ -> None) ts
-  in
-  match c.body with
-  | [ Ndl.Pred (src, ts) ] ->
-    let body = vars ts and head = Array.of_list (vars (snd c.head)) in
-    let arity = List.length ts in
-    if
-      List.length body = arity
-      && List.length (List.sort_uniq String.compare body) = arity
-      && List.length (snd c.head) = arity
-      && List.sort String.compare (Array.to_list head)
-         = List.sort String.compare body
-    then
-      let rec position v i = if head.(i) = v then i else position v (i + 1) in
-      let perm = Array.of_list (List.map (fun v -> position v 0) body) in
-      let rec identity j = j = arity || (perm.(j) = j && identity (j + 1)) in
-      Some { src; arity; perm; identity = identity 0 }
-    else None
-  | _ -> None
 
 (* A non-recursive, non-goal IDB predicate defined by one renaming: it has
    no relation, and every atom over it is compiled as the permuted atom
@@ -509,12 +485,18 @@ type cached = {
   cfor : Ndl.query;  (* physical identity of the planned query *)
   cnaive : bool;
   catoms : int;  (* ABox size at plan time, for the replan threshold *)
-  cstrata : cstratum array;
+  cedb : (Symbol.t * int) array;  (* [Demand.edb_atoms cfor] *)
+  cempty : bool array;  (* which of [cedb] were empty at plan time *)
+  cdemand : Demand.t;  (* [cfor] transformed for that emptiness *)
+  cstrata : cstratum array;  (* [cdemand.query] compiled *)
 }
 
-type plan_cache = { mutable slot : cached option }
+type plan_cache = { mutable entries : cached list }
+(* most recent first: one per emptiness of the program's EDB relations,
+   at most [cache_entries] *)
 
-let plan_cache () = { slot = None }
+let plan_cache () = { entries = [] }
+let cache_entries = 4
 
 let replan_factor = 2.0
 (* a cached plan survives while |ABox| stays within this factor of its
@@ -539,7 +521,7 @@ let delta_variants scc delta_of (c : Ndl.clause) =
   in
   go [] [] c.Ndl.body
 
-let skeleton ~naive ~atoms (q : Ndl.query) =
+let skeleton ~naive (q : Ndl.query) =
   let by_head = Symbol.Tbl.create 16 in
   List.iter
     (fun (c : Ndl.clause) ->
@@ -574,7 +556,7 @@ let skeleton ~naive ~atoms (q : Ndl.query) =
     else
       List.fold_right
         (fun c acc ->
-          match (renaming_of c, acc) with
+          match (Demand.renaming_of c, acc) with
           | Some rn, Some l -> Some ((c, rn) :: l)
           | _ -> None)
         clauses (Some [])
@@ -651,21 +633,48 @@ let skeleton ~naive ~atoms (q : Ndl.query) =
             })
       (Ndl.strata q)
   in
-  { cfor = q; cnaive = naive; catoms = atoms; cstrata = Array.of_list cstrata }
+  Array.of_list cstrata
 
-let cache_disposition ?plan ~naive (q : Ndl.query) abox =
+let edb_empty env (p, arity) =
+  match edb_relation env p ~arity with
+  | Some r -> r.Relation.size = 0
+  | None -> true
+
+(* A cached plan serves while the ABox stays within [replan_factor] of its
+   plan-time size and every EDB relation the program reads is as empty, or
+   as non-empty, as it was: the entry for the current emptiness, found
+   with one lookup per EDB predicate. *)
+let cache_disposition env ?plan ~naive (q : Ndl.query) =
   match plan with
   | None -> `Uncached
   | Some cache -> (
-    match cache.slot with
-    | Some cp when cp.cfor == q && cp.cnaive = naive ->
-      let ratio =
-        float_of_int (Abox.num_atoms abox) /. float_of_int (max 1 cp.catoms)
+    let mine (cp : cached) = cp.cfor == q && cp.cnaive = naive in
+    match List.find_opt mine cache.entries with
+    | None -> if cache.entries = [] then `Fresh else `Replan
+    | Some cp -> (
+      let empty = Array.map (edb_empty env) cp.cedb in
+      let ratio cp =
+        float_of_int (Abox.num_atoms env.abox) /. float_of_int (max 1 cp.catoms)
       in
-      if ratio >= 1.0 /. replan_factor && ratio <= replan_factor then `Hit
-      else `Replan
-    | Some _ -> `Replan
-    | None -> `Fresh)
+      match
+        List.find_opt
+          (fun cp ->
+            mine cp && cp.cempty = empty
+            && ratio cp >= 1.0 /. replan_factor
+            && ratio cp <= replan_factor)
+          cache.entries
+      with
+      | Some cp -> `Hit cp
+      | None -> `Replan))
+
+(* Keep [cp] first, with the other emptinesses of its program. *)
+let remember cache cp =
+  let others =
+    List.filter
+      (fun (e : cached) -> e.cfor == cp.cfor && e.cnaive = cp.cnaive && e.cempty <> cp.cempty)
+      cache.entries
+  in
+  cache.entries <- cp :: List.filteri (fun i _ -> i < cache_entries - 1) others
 
 (* ------------------------------------------------------------------ *)
 (* Stratum drivers *)
@@ -891,43 +900,58 @@ let plan_gauges cstrata =
   Obs.set_int "eval.plan.scans" !scans;
   Obs.set_int "eval.plan.reordered" !reordered
 
-let run_unobserved ?plan ~naive ~budget ~edb ~extra_domain ~explain
-    (q : Ndl.query) abox =
-  let idb = Ndl.idb_preds q in
-  let domain =
-    lazy
-      (let ids = List.map (fun (c : Abox.const) -> (c :> int)) in
-       let inds = Abox.individuals abox in
-       Array.of_list
-         (match extra_domain with
-         | [] -> ids inds
-         | extra -> List.sort_uniq Int.compare (ids (inds @ extra))))
-  in
-  let env =
-    {
-      relations = Symbol.Tbl.create 64;
-      abox;
-      external_edb = edb;
-      domain;
-      budget;
-      explain;
-      reads = 0;
-    }
-  in
-  let disposition = cache_disposition ?plan ~naive q abox in
+let explain_demand f (d : Demand.t) =
+  List.iter
+    (fun (c, a) ->
+      f (Format.asprintf "drop %a  empty %a" Ndl.pp_clause c Ndl.pp_atom a))
+    d.dropped;
+  List.iter
+    (fun preds -> f ("skip " ^ String.concat "," (List.map Symbol.name preds)))
+    d.skipped;
+  List.iter
+    (fun (r : Demand.restriction) ->
+      f
+        (Printf.sprintf "restrict %s on [%s] by %s  demand~%.3g of %.3g keys  full~%.3g"
+           (Symbol.name r.pred)
+           (String.concat "," (List.map string_of_int r.positions))
+           (Symbol.name r.magic) r.demand r.keys r.full))
+    d.restricted
+
+let evaluate env ~goal_directed ~disposition ~domain ?plan ~naive
+    (q : Ndl.query) =
+  let abox = env.abox in
   let program =
-    match (disposition, plan) with
-    | `Hit, Some cache -> Option.get cache.slot
-    | (`Replan | `Fresh), Some cache ->
-      let cp = skeleton ~naive ~atoms:(Abox.num_atoms abox) q in
-      cache.slot <- Some cp;
+    match disposition with
+    | `Hit cp -> cp
+    | `Replan | `Fresh | `Uncached ->
+      let cedb = Array.of_list (Demand.edb_atoms q) in
+      let cempty = Array.map (edb_empty env) cedb in
+      let cdemand =
+        Demand.transform ~goal_directed
+          ~relation:(fun p arity -> edb_relation env p ~arity)
+          ~domain q
+      in
+      Option.iter (fun f -> explain_demand f cdemand) env.explain;
+      let cp =
+        {
+          cfor = q;
+          cnaive = naive;
+          catoms = Abox.num_atoms abox;
+          cedb;
+          cempty;
+          cdemand;
+          cstrata = skeleton ~naive cdemand.query;
+        }
+      in
+      Option.iter (fun cache -> remember cache cp) plan;
       cp
-    | _ -> skeleton ~naive ~atoms:(Abox.num_atoms abox) q
   in
   (match disposition with
-  | `Hit -> Obs.incr "eval.plan.cache_hits"
+  | `Hit _ -> Obs.incr "eval.plan.cache_hits"
   | `Replan -> Obs.incr "eval.plan.replans"
   | `Fresh | `Uncached -> ());
+  let tq = program.cdemand.query in
+  let idb = Ndl.idb_preds tq in
   let renamed = ref 0 in
   Array.iter
     (function
@@ -954,8 +978,8 @@ let run_unobserved ?plan ~naive ~budget ~edb ~extra_domain ~explain
     + List.fold_left (fun acc v -> acc + (source v).size) 0 views
   in
   let answers =
-    match Symbol.Tbl.find_opt env.relations q.goal with
-    | Some r when Symbol.Set.mem q.goal idb -> Relation.tuples r
+    match Symbol.Tbl.find_opt env.relations tq.goal with
+    | Some r when Symbol.Set.mem tq.goal idb -> Relation.tuples r
     | Some _ | None -> []
   in
   let idb_relations =
@@ -971,44 +995,100 @@ let run_unobserved ?plan ~naive ~budget ~edb ~extra_domain ~explain
          done;
          r
        in
-       List.fold_left
-         (fun acc v -> Symbol.Map.add (fst v.vclause.head) (permuted v) acc)
-         (Symbol.Set.fold
-            (fun p acc ->
-              match Symbol.Tbl.find_opt env.relations p with
-              | Some r -> Symbol.Map.add p r acc
-              | None -> acc)
-            idb Symbol.Map.empty)
-         views)
+       let evaluated =
+         List.fold_left
+           (fun acc v -> Symbol.Map.add (fst v.vclause.head) (permuted v) acc)
+           (Symbol.Set.fold
+              (fun p acc ->
+                match Symbol.Tbl.find_opt env.relations p with
+                | Some r -> Symbol.Map.add p r acc
+                | None -> acc)
+              idb Symbol.Map.empty)
+           views
+       in
+       if goal_directed then evaluated
+       else
+         (* a predicate whose every clause was dropped holds nothing *)
+         Symbol.Set.fold
+           (fun p acc ->
+             if Symbol.Map.mem p acc then acc
+             else
+               Symbol.Map.add p
+                 (Relation.create (Option.value ~default:0 (Ndl.arity_of q p)))
+                 acc)
+           (Ndl.idb_preds q) evaluated)
   in
+  (match env.explain with
+  | Some f ->
+    List.iter
+      (fun (r : Demand.restriction) ->
+        let rows =
+          match Symbol.Tbl.find_opt env.relations r.pred with
+          | Some rel -> rel.size
+          | None -> 0
+        in
+        f (Printf.sprintf "restricted %s rows=%d" (Symbol.name r.pred) rows))
+      program.cdemand.restricted
+  | None -> ());
   if Obs.enabled () then begin
     Obs.set_int "eval.answers" (List.length answers);
     Obs.set_int "eval.generated_tuples" generated_tuples;
     Obs.set_int "eval.views" !renamed;
     Obs.count "eval.tuples_read" env.reads;
     plan_gauges program.cstrata;
-    if Budget.is_limited budget then begin
-      Obs.set_int "budget.steps" (Budget.steps_spent budget);
-      Obs.set_int "budget.size" (Budget.size_spent budget)
+    if Budget.is_limited env.budget then begin
+      Obs.set_int "budget.steps" (Budget.steps_spent env.budget);
+      Obs.set_int "budget.size" (Budget.size_spent env.budget)
     end
   end;
   { answers; generated_tuples; tuples_read = env.reads; idb_relations }
 
+let observed ~goal_directed ?plan ~naive ~budget ~edb ~extra_domain ~explain q
+    abox =
+  let domain =
+    lazy
+      (let ids = List.map (fun (c : Abox.const) -> (c :> int)) in
+       let inds = Abox.individuals abox in
+       Array.of_list
+         (match extra_domain with
+         | [] -> ids inds
+         | extra -> List.sort_uniq Int.compare (ids (inds @ extra))))
+  in
+  let env =
+    {
+      relations = Symbol.Tbl.create 64;
+      abox;
+      external_edb = edb;
+      external_relations = Symbol.Tbl.create 8;
+      domain;
+      budget;
+      explain;
+      reads = 0;
+    }
+  in
+  let disposition = cache_disposition env ?plan ~naive q in
+  let plan_attr =
+    if naive then "naive"
+    else
+      match disposition with
+      | `Hit _ -> "cached"
+      | `Replan -> "replanned"
+      | `Fresh | `Uncached -> "fresh"
+  in
+  Obs.with_span ~attrs:[ ("plan", plan_attr) ] "eval.ndl" (fun () ->
+      evaluate env ~goal_directed ~disposition
+        ~domain:(Abox.num_individuals abox + List.length extra_domain)
+        ?plan ~naive q)
+
 let run ?plan ?(naive = false) ?(budget = Budget.none)
     ?(edb = fun _ _ -> None) ?(extra_domain = []) ?explain q abox =
-  let attrs =
-    let plan_attr =
-      if naive then "naive"
-      else
-        match cache_disposition ?plan ~naive q abox with
-        | `Hit -> "cached"
-        | `Replan -> "replanned"
-        | `Fresh | `Uncached -> "fresh"
-    in
-    [ ("plan", plan_attr) ]
-  in
-  Obs.with_span ~attrs "eval.ndl" (fun () ->
-      run_unobserved ?plan ~naive ~budget ~edb ~extra_domain ~explain q abox)
+  observed ~goal_directed:true ?plan ~naive ~budget ~edb ~extra_domain ~explain
+    q abox
+
+let materialise ?(naive = false) ?(budget = Budget.none)
+    ?(edb = fun _ _ -> None) ?(extra_domain = []) ?explain q abox =
+  observed ~goal_directed:false ~naive ~budget ~edb ~extra_domain ~explain q
+    abox
 
 let answers ?budget ?plan q abox = (run ?budget ?plan q abox).answers
 

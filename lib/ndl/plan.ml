@@ -18,6 +18,7 @@ type step = {
 
 type t = {
   steps : step list;
+  order : int list;
   est_reads : float;
   est_out : float;
   reordered : bool;
@@ -31,6 +32,22 @@ type stats = {
 }
 
 let scan_cutoff = 16
+
+let compile (c : Ndl.clause) =
+  let vars = Ndl.clause_vars c in
+  let index = Hashtbl.create 8 in
+  List.iteri (fun i v -> Hashtbl.replace index v i) vars;
+  let cterm = function
+    | Ndl.Var v -> CV (Hashtbl.find index v)
+    | Ndl.Cst c -> CC (c :> int)
+  in
+  let catom = function
+    | Ndl.Pred (p, ts) -> CPred (p, Array.of_list (List.map cterm ts))
+    | Ndl.Eq (t1, t2) -> CEq (cterm t1, cterm t2)
+    | Ndl.Dom t -> CDom (cterm t)
+  in
+  let head = Array.of_list (List.map cterm (snd c.head)) in
+  (List.length vars, Array.of_list vars, head, List.map catom c.body)
 
 let term_bound bound = function CV j -> bound.(j) | CC _ -> true
 
@@ -54,7 +71,7 @@ let bind bound = function
 (* Distinct keys under [probe]: exact when the evaluator already holds an
    index on those positions, otherwise capped at |domain|^|probe| — every
    key component ranges over the active domain. *)
-let est_distinct stats p probe card =
+let distinct_keys stats p probe card =
   match stats.distinct p probe with
   | Some d when d > 0 -> float_of_int d
   | _ ->
@@ -88,7 +105,7 @@ let make stats ~nvars atoms =
       let card = stats.card p in
       let m =
         if probe = [] then float_of_int card
-        else float_of_int card /. est_distinct stats p probe card
+        else float_of_int card /. distinct_keys stats p probe card
       in
       let strategy = choose_strategy stats p probe card in
       let reads =
@@ -147,7 +164,7 @@ let make stats ~nvars atoms =
   in
   let steps, est_reads, est_out, order = pick 1.0 0.0 [] [] indexed in
   let reordered = order <> List.sort Int.compare order in
-  { steps; est_reads; est_out; reordered }
+  { steps; order; est_reads; est_out; reordered }
 
 let trivial ~nvars atoms =
   let bound = Array.make nvars false in
@@ -171,7 +188,13 @@ let trivial ~nvars atoms =
         step)
       atoms
   in
-  { steps; est_reads = 0.0; est_out = 0.0; reordered = false }
+  {
+    steps;
+    order = List.mapi (fun i _ -> i) atoms;
+    est_reads = 0.0;
+    est_out = 0.0;
+    reordered = false;
+  }
 
 let describe ~names plan =
   let term = function

@@ -46,6 +46,8 @@ type step = {
 
 type t = {
   steps : step list;
+  order : int list;
+      (** the written position of each step's atom, in step order *)
   est_reads : float;  (** estimated tuples read by the whole body *)
   est_out : float;
       (** estimated matches of the whole body, so head tuples emitted
@@ -70,6 +72,16 @@ type stats = {
 val scan_cutoff : int
 (** Relations at or below this cardinality are always scanned: probing —
     let alone building anything — loses to walking a handful of tuples. *)
+
+val compile : Ndl.clause -> int * string array * cterm array * catom list
+(** A clause with its variables numbered in {!Ndl.clause_vars} order: the
+    number of variables, their names by slot, the head and the body. *)
+
+val distinct_keys : stats -> Symbol.t -> int list -> int -> float
+(** [distinct_keys stats p probe card]: the distinct keys the planner
+    assumes on [probe] of [p], a relation of [card] rows — exact when
+    [stats.distinct] knows them, else at most |domain|{^|probe|}, and at
+    least 1. *)
 
 val make : stats -> nvars:int -> catom list -> t
 (** Cost-based plan: greedy reorder plus per-atom strategy choice. *)

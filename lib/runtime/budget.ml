@@ -7,7 +7,7 @@ type t = {
   mutable size : int;
 }
 
-(* consult the wall clock only every [mask + 1] steps *)
+(* consult the wall clock on the first step, then every [mask + 1] *)
 let mask = 0x3FF
 
 let create ?timeout ?max_steps ?max_size () =
@@ -67,7 +67,7 @@ let step b =
   (match b.max_steps with
   | Some limit -> if b.steps > limit then exhausted Error.Steps b.steps limit
   | None -> ());
-  if b.steps land mask = 0 then check_deadline b
+  if b.steps land mask = 0 || b.steps = 1 then check_deadline b
 
 let grow ?(by = 1) b =
   b.size <- b.size + by;
@@ -83,8 +83,10 @@ let charge b n =
   | None -> ());
   grow ~by:n b;
   (* [before lor mask] is the last count short of the next multiple of
-     [mask + 1]: passing it is what {!step} would have checked on *)
-  if b.steps > before lor mask then check_deadline b
+     [mask + 1]: passing it, or reaching the first step, is what {!step}
+     would have checked on *)
+  if b.steps > before lor mask || (before = 0 && b.steps > 0) then
+    check_deadline b
 
 let steps_spent b = b.steps
 let size_spent b = b.size

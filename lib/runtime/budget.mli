@@ -6,7 +6,8 @@
     evaluation.  Each loop iteration calls {!step}; each unit of output
     (clause, tuple, chase element) calls {!grow}.  Both are cheap: the step
     counter is a single increment, and the wall clock is only consulted
-    every [2^10] steps.
+    on the first step and then every [2^10] steps, so even a request that
+    takes a handful of steps sees a spent allowance.
 
     Exhaustion raises
     [Error.Obda_error (Error.Budget_exhausted _)] so a runaway rewriting or
@@ -47,7 +48,8 @@ val sub_scaled : factor:float -> t -> t
 
 val step : t -> unit
 (** Count one unit of work; raises [Budget_exhausted] when the step budget
-    is spent or (checked every 1024 steps) the deadline has passed. *)
+    is spent or (checked on the first step and every 1024 steps) the
+    deadline has passed. *)
 
 val grow : ?by:int -> t -> unit
 (** Count [by] (default 1) units of output; raises [Budget_exhausted] when
@@ -58,7 +60,8 @@ val charge : t -> int -> unit
     done in bulk (the engine answering a renaming from the relation it
     renames instead of copying it row by row): raises [Budget_exhausted]
     when the step or the size cap is exceeded, and consults the wall clock
-    whenever the step count passes a multiple of 1024, as {!step} does. *)
+    whenever the step count reaches 1 or passes a multiple of 1024, as
+    {!step} does. *)
 
 val check_deadline : t -> unit
 (** Consult the wall clock immediately (for coarse-grained loops whose

@@ -133,7 +133,7 @@ let adaptive_candidates () =
     random_abox ~seed:1 ~consts:10 ~unary:[] ~binary:[ "R" ] ~unary_atoms:0
       ~binary_atoms:30
   in
-  let cands = Adaptive.candidates t q (Adaptive.stats_of_abox abox) in
+  let cands = Adaptive.candidates t q abox in
   check "several candidates" true (List.length cands >= 4);
   check "sorted by cost" true
     (let rec sorted = function
@@ -147,21 +147,29 @@ let adaptive_candidates () =
        (fun (c : Adaptive.candidate) -> Float.is_finite c.Adaptive.cost)
        cands)
 
+(* The query reads S, so over R alone every clause is dropped and there is
+   nothing to cost; over R and S more data costs more. *)
 let cost_model_sanity () =
   let t = example11_tbox () in
   let q = example8_cq () in
-  let small =
-    random_abox ~seed:2 ~consts:5 ~unary:[] ~binary:[ "R" ] ~unary_atoms:0
-      ~binary_atoms:10
+  let abox ~consts ~binary_atoms binary =
+    random_abox ~seed:2 ~consts ~unary:[] ~binary ~unary_atoms:0 ~binary_atoms
   in
-  let big =
-    random_abox ~seed:2 ~consts:20 ~unary:[] ~binary:[ "R" ] ~unary_atoms:0
-      ~binary_atoms:300
-  in
+  let small = abox ~consts:5 ~binary_atoms:10 [ "R"; "S" ] in
+  let big = abox ~consts:20 ~binary_atoms:300 [ "R"; "S" ] in
+  let r_only = abox ~consts:20 ~binary_atoms:300 [ "R" ] in
   let lin = Omq.rewrite Omq.Lin (Omq.make t q) in
-  let c_small = Adaptive.estimate_cost (Adaptive.stats_of_abox small) lin in
-  let c_big = Adaptive.estimate_cost (Adaptive.stats_of_abox big) lin in
-  check "more data costs more" true (c_big > c_small)
+  let cost abox =
+    let d =
+      Obda_ndl.Demand.transform ~goal_directed:true
+        ~relation:(fun p arity -> Obda_data.Abox.relation abox p ~arity)
+        ~domain:(Obda_data.Abox.num_individuals abox)
+        lin
+    in
+    Lazy.force d.Obda_ndl.Demand.cost
+  in
+  check "no S: nothing to evaluate" true (cost r_only = 0.);
+  check "more data costs more" true (cost big > cost small && cost small > 0.)
 
 let suites =
   [

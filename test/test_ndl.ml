@@ -780,8 +780,9 @@ let test_predicate_at_two_arities () =
    of a binary relation, on every position, and on a unary relation.  The
    second program renames ABox predicates: its goal is an identity
    renaming of a view of R, so the planned engine answers from R's own
-   relation, and a two-clause stratum shares S (its other source is
-   empty) before a join probes both through a view. *)
+   relation, and, when every predicate is materialised, a two-clause
+   stratum shares S (its other source, a join, derives nothing) before a
+   join probes both through a view. *)
 let test_eval_leaves_abox_relations () =
   let n = 40 in
   let c i = Printf.sprintf "c%d" (i mod n) in
@@ -826,6 +827,10 @@ let test_eval_leaves_abox_relations () =
         { Ndl.head = (sym "Sren", [ v "x"; v "y" ]); body = [ p "S" [ v "x"; v "y" ] ] };
         { Ndl.head = (sym "Sren", [ v "x"; v "y" ]); body = [ p "Eren" [ v "x"; v "y" ] ] };
         {
+          Ndl.head = (sym "Eren", [ v "x"; v "y" ]);
+          body = [ p "S" [ v "x"; v "y" ]; p "R" [ v "y"; v "x" ] ];
+        };
+        {
           Ndl.head = (sym "Jren", [ v "x" ]);
           body = [ p "Sren" [ v "x"; v "y" ]; p "Iren" [ v "y"; v "z" ]; p "A" [ v "z" ] ];
         };
@@ -849,7 +854,7 @@ let test_eval_leaves_abox_relations () =
       check "the query answers" true (expected <> []))
     [ q; renamings ];
   let lines = ref [] in
-  let r = Eval.run ~explain:(fun l -> lines := l :: !lines) renamings a in
+  let r = Eval.materialise ~explain:(fun l -> lines := l :: !lines) renamings a in
   check_int "the renamed goal holds R" n (List.length r.Eval.answers);
   check "the goal and Sren share the ABox's R and S" true
     (List.mem "Gren(x,y) <- R(x,y)  shared" !lines
@@ -862,16 +867,84 @@ let test_eval_leaves_abox_relations () =
       List.sort compare r = [ [ 0 ]; [ 1 ] ] && List.sort compare s = [ [ 0 ]; [ 1 ] ]
     | _ -> false)
 
+(* [--explain] shows the goal-directed transformation: the clause an empty
+   relation kills, the stratum the goal does not reach, and the predicate
+   its one consumer probes after a selective prefix, restricted to the
+   demand of that prefix ([A] holds one of the chain's ten constants), with
+   the rows it ends with.  [Eval.materialise] only drops the dead clause
+   and answers the same. *)
+let test_explain_demand () =
+  let q =
+    Ndl.make ~goal:(sym "Gdm") ~goal_args:[ "x"; "z" ]
+      [
+        {
+          Ndl.head = (sym "Qdm", [ v "x"; v "z" ]);
+          body = [ p "R" [ v "x"; v "y" ]; p "R" [ v "y"; v "z" ] ];
+        };
+        { Ndl.head = (sym "Gdm", [ v "x"; v "z" ]); body = [ p "A" [ v "x" ]; p "Qdm" [ v "x"; v "z" ] ] };
+        { Ndl.head = (sym "Gdm", [ v "x"; v "z" ]); body = [ p "S" [ v "x"; v "z" ] ] };
+        { Ndl.head = (sym "Udm", [ v "x" ]); body = [ p "R" [ v "x"; v "y" ] ] };
+      ]
+  in
+  let a =
+    abox_of_facts
+      (`U ("A", "c0")
+      :: List.init 9 (fun i -> `B ("R", Printf.sprintf "c%d" i, Printf.sprintf "c%d" (i + 1))))
+  in
+  let explain run =
+    let lines = ref [] in
+    let r = run ~explain:(fun l -> lines := l :: !lines) in
+    let shown =
+      List.filter
+        (fun l ->
+          List.exists
+            (fun prefix -> String.starts_with ~prefix l)
+            [ "drop "; "skip "; "restrict" ])
+        (List.rev !lines)
+    in
+    (r, shown)
+  in
+  let r, lines = explain (fun ~explain -> Eval.run ~explain q a) in
+  Alcotest.(check (list string))
+    "the transformation"
+    [
+      "drop Gdm(x,z) <- S(x,z)  empty S(x,z)";
+      "skip Udm";
+      "restrict Qdm on [0] by magic:Qdm  demand~1 of 9 keys  full~9";
+      "restricted Qdm rows=1";
+    ]
+    lines;
+  Alcotest.(check (list (list string)))
+    "answers" [ [ "c0"; "c2" ] ] (show_tuples r.Eval.answers);
+  (* Gdm = 1, Qdm = 1, magic:Qdm = 1 *)
+  check_int "generated tuples" 3 r.Eval.generated_tuples;
+  let m, lines = explain (fun ~explain -> Eval.materialise ~explain q a) in
+  Alcotest.(check (list string))
+    "materialised: the dead clause only"
+    [ "drop Gdm(x,z) <- S(x,z)  empty S(x,z)" ]
+    lines;
+  Alcotest.(check (list (list string)))
+    "the same answers" (show_tuples r.Eval.answers) (show_tuples m.Eval.answers);
+  (* Gdm = 1, Qdm = 8, Udm = 9 *)
+  check_int "materialised generated tuples" 18 m.Eval.generated_tuples
+
 (* Renamings answered in place: [--explain] names each view and shared
    stratum, the clause that reads a view reads its source with the columns
    permuted, and the run answers and counts what the copying reference
-   engine does. *)
+   engine does.  Every predicate is materialised, so the goal's demand
+   restricts nothing; [R*]'s second source is a join that derives nothing
+   over the first instance (a clause over an empty EDB relation would be
+   dropped, leaving [R*] a view). *)
 let test_renamings_in_place () =
   let q =
     Ndl.make ~goal:(sym "Gvw") ~goal_args:[ "x" ]
       [
         { Ndl.head = (sym "R*", [ v "x"; v "y" ]); body = [ p "R" [ v "x"; v "y" ] ] };
-        { Ndl.head = (sym "R*", [ v "x"; v "y" ]); body = [ p "P" [ v "x"; v "y" ] ] };
+        { Ndl.head = (sym "R*", [ v "x"; v "y" ]); body = [ p "Pvw" [ v "x"; v "y" ] ] };
+        {
+          Ndl.head = (sym "Pvw", [ v "x"; v "y" ]);
+          body = [ p "R" [ v "x"; v "y" ]; p "R" [ v "y"; v "x" ] ];
+        };
         {
           Ndl.head = (sym "Vvw", [ v "x1"; v "x0" ]);
           body = [ p "R*" [ v "x0"; v "x1" ] ];
@@ -885,12 +958,12 @@ let test_renamings_in_place () =
   in
   let explain ?naive a =
     let lines = ref [] in
-    let r = Eval.run ?naive ~explain:(fun l -> lines := l :: !lines) q a in
+    let r = Eval.materialise ?naive ~explain:(fun l -> lines := l :: !lines) q a in
     (r, List.rev !lines)
   in
   let planned, lines = explain a in
   (match lines with
-  | [ shared; view; goal ] ->
+  | [ _pvw; shared; view; goal ] ->
     check_str "the one live source is shared" "R*(x,y) <- R(x,y)  shared" shared;
     check_str "the view" "Vvw(x1,x0) <- R*(x0,x1)  view" view;
     check "the goal reads the view's source, permuted" true
@@ -904,7 +977,7 @@ let test_renamings_in_place () =
     "answers" [ [ "v2" ] ] (show_tuples planned.Eval.answers);
   Alcotest.(check (list (list string)))
     "naive answers" (show_tuples naive.Eval.answers) (show_tuples planned.Eval.answers);
-  (* R* = 3, Vvw = 3, Gvw = 1 *)
+  (* Pvw = 0, R* = 3, Vvw = 3, Gvw = 1 *)
   check_int "generated tuples" 7 planned.Eval.generated_tuples;
   check_int "naive generated tuples" 7 naive.Eval.generated_tuples;
   let vw = Symbol.Map.find (sym "Vvw") (Lazy.force planned.Eval.idb_relations) in
@@ -912,19 +985,20 @@ let test_renamings_in_place () =
     "a forced view holds the permuted rows"
     [ [ "v1"; "v3" ]; [ "v2"; "v1" ]; [ "v3"; "v2" ] ]
     (List.sort compare (show_tuples (Relation.tuples vw)));
-  let _, c = Obs.collecting (fun () -> Eval.run q a) in
+  let _, c = Obs.collecting (fun () -> Eval.materialise q a) in
   Alcotest.(check (option int))
     "eval.views counts the view and the shared stratum" (Some 2)
     (Obs.Collector.gauge_int c "eval.views");
   (* a second live source means a union: the stratum is copied *)
   let a' = Abox.copy a in
-  Abox.add_binary a' (sym "P") (sym "v1") (sym "v1");
+  Abox.add_binary a' (sym "R") (sym "v1") (sym "v1");
   let r, lines = explain a' in
   check "two live sources: no sharing" true
     (not (List.exists (fun l -> contains l "  shared") lines));
-  (* R* = 4, Vvw = 4, Gvw = 2 *)
-  check_int "generated tuples with both sources" 10 r.Eval.generated_tuples;
-  check_int "naive agrees" 10 (Eval.run ~naive:true q a').Eval.generated_tuples
+  (* Pvw = 1, R* = 4, Vvw = 4, Gvw = 2 *)
+  check_int "generated tuples with both sources" 11 r.Eval.generated_tuples;
+  check_int "naive agrees" 11
+    (Eval.materialise ~naive:true q a').Eval.generated_tuples
 
 (* A derived relation is created at the size its stratum's plans
    estimate.  A cross product is estimated exactly, so the goal's relation
@@ -1035,6 +1109,8 @@ let suites =
           test_plan_cost_model;
         Alcotest.test_case "plan cache reuse and replan" `Quick
           test_plan_cache_reuse;
+        Alcotest.test_case "explain shows the goal-directed transformation" `Quick
+          test_explain_demand;
         Alcotest.test_case "equality and domain atoms" `Quick
           test_eval_equality_and_dom;
         Alcotest.test_case "constants" `Quick test_eval_constants;

@@ -495,6 +495,117 @@ let renamings_in_place =
          end)
 
 (* ------------------------------------------------------------------ *)
+(* 6c. goal-directed answering: [Eval.run] evaluates the program
+       [Demand.transform] derives for the data (dead clauses dropped,
+       strata the goal does not reach skipped, single-consumer predicates
+       restricted to their demand) and must answer exactly the goal
+       relation [Eval.materialise] computes in full: on both engines, fresh
+       and on a cached plan (hit twice), before and after a write makes an
+       EDB relation the program reads non-empty.  Both drop the same dead
+       clauses, so a rewriting's goal relation is held to the chase too *)
+
+module Demand = Obda_ndl.Demand
+
+(* one draw: a renaming program (S empty until written) or a Tw, Lin or
+   Log rewriting (with its OMQ) over an instance without one role, and the
+   role that is then written *)
+let goal_directed_draw seed =
+  let rng = Random.State.make [| seed; 86 |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  if Random.State.bool rng then
+    let q = random_renaming_program rng in
+    let abox =
+      random_abox
+        ~seed:(Random.State.int rng 1_000_000)
+        ~consts:(4 + Random.State.int rng 3)
+        ~unary:[ "A"; "B" ] ~binary:[ "P"; "Q"; "R" ]
+        ~unary_atoms:(3 + Random.State.int rng 4)
+        ~binary_atoms:(8 + Random.State.int rng 6)
+    in
+    Some (q, None, abox, "S")
+  else
+    let tbox = random_tbox rng in
+    let omq = Omq.make tbox (random_tree_cq rng (1 + Random.State.int rng 4)) in
+    let alg = pick [ Omq.Tw; Omq.Lin; Omq.Log ] in
+    if not (Omq.applicable alg omq) then None
+    else
+      let missing = pick role_pool in
+      let abox =
+        random_abox
+          ~seed:(Random.State.int rng 1_000_000)
+          ~consts:(4 + Random.State.int rng 3)
+          ~unary:concept_pool
+          ~binary:(List.filter (fun r -> r <> missing) role_pool)
+          ~unary_atoms:(3 + Random.State.int rng 4)
+          ~binary_atoms:(8 + Random.State.int rng 8)
+      in
+      Some (Omq.rewrite ~over:`Arbitrary alg omq, Some omq, abox, missing)
+
+let restricts q abox =
+  (Demand.transform ~goal_directed:true
+     ~relation:(fun p arity -> Abox.relation abox p ~arity)
+     ~domain:(Abox.num_individuals abox) q)
+    .restricted
+  <> []
+
+let goal_directed_answers =
+  QCheck.Test.make ~count:80
+    ~name:"goal-directed answers = materialised goal relation"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      match goal_directed_draw seed with
+      | None -> true
+      | Some (q, omq, abox, missing) ->
+        let caches = [| Eval.plan_cache (); Eval.plan_cache () |] in
+        let check_all stage =
+          let expected = (Eval.materialise q abox).Eval.answers in
+          let sorted ts = List.sort compare ts in
+          (match omq with
+          | Some omq ->
+            sorted (show_tuples expected) = sorted (certain_answers omq abox)
+            || QCheck.Test.fail_reportf "%s: the materialised goal is not the chase's@.%a"
+                 stage Ndl.pp q
+          | None -> true)
+          && List.for_all
+            (fun naive ->
+              let cache = caches.(Bool.to_int naive) in
+              List.for_all
+                (fun (leg, run) ->
+                  run () = expected
+                  || QCheck.Test.fail_reportf "%s, %s%s: %d answers, materialised %d@.%a"
+                       stage leg
+                       (if naive then ", naive" else "")
+                       (List.length (run ())) (List.length expected) Ndl.pp q)
+                [
+                  ("fresh", fun () -> (Eval.run ~naive q abox).Eval.answers);
+                  ("cached", fun () -> (Eval.run ~naive ~plan:cache q abox).answers);
+                  ("cached again", fun () -> (Eval.run ~naive ~plan:cache q abox).answers);
+                ])
+            [ false; true ]
+        in
+        check_all "before the write"
+        && begin
+             Abox.add_binary abox (sym missing) (sym "c0") (sym "c1");
+             check_all "after the write"
+           end)
+
+(* The draws must restrict often enough to test restriction: at least a
+   tenth of them, over a fixed range of seeds. *)
+let test_goal_directed_draws_restrict () =
+  let drawn = ref 0 and restricted = ref 0 in
+  for seed = 0 to 199 do
+    match goal_directed_draw seed with
+    | None -> ()
+    | Some (q, _, abox, _) ->
+      incr drawn;
+      if restricts q abox then incr restricted
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d draws restrict" !restricted !drawn)
+    true
+    (!drawn >= 100 && 10 * !restricted >= !drawn)
+
+(* ------------------------------------------------------------------ *)
 (* Snapshot isolation, against a set model: random interleavings of adds
    and removes (self-loops included), snapshots of the live store and of
    snapshots, and writes to snapshots.  After every step each record must
@@ -826,6 +937,9 @@ let suites =
         QCheck_alcotest.to_alcotest monotone_in_data;
         QCheck_alcotest.to_alcotest planner_differential;
         QCheck_alcotest.to_alcotest renamings_in_place;
+        QCheck_alcotest.to_alcotest goal_directed_answers;
+        Alcotest.test_case "goal-directed draws restrict" `Quick
+          test_goal_directed_draws_restrict;
         QCheck_alcotest.to_alcotest snapshot_isolation;
         QCheck_alcotest.to_alcotest tree_witness_closure;
         QCheck_alcotest.to_alcotest sorted_ids_order;

@@ -797,8 +797,8 @@ let test_pool_propagates_failure () =
     | _ -> false)
 
 (* [Budget.charge] counts steps and size in bulk, binds both caps, and
-   reads the wall clock exactly when the step count passes a multiple of
-   1024, as the same number of single steps would. *)
+   reads the wall clock exactly when the step count reaches 1 or passes a
+   multiple of 1024, as the same number of single steps would. *)
 let test_budget_charge () =
   let expired () =
     let b = Budget.create ~timeout:0. () in
@@ -815,13 +815,15 @@ let test_budget_charge () =
     match outcome f with Some (Error.Wall_clock, _, _) -> true | _ -> false
   in
   let b = expired () in
+  check "the first step reads the clock" true (wall (fun () -> Budget.charge b 1));
   check "short of 1024 steps, no clock read" false
-    (wall (fun () -> Budget.charge b 1023));
+    (wall (fun () -> Budget.charge b 1022));
   check_int "steps counted" 1023 (Budget.steps_spent b);
   check_int "size counted" 1023 (Budget.size_spent b);
   check "reaching 1024 reads the clock" true (wall (fun () -> Budget.charge b 1));
   let b = expired () in
-  Budget.charge b 1000;
+  check "a first charge reads the clock" true
+    (wall (fun () -> Budget.charge b 1000));
   check "a charge across 1024 reads the clock" true
     (wall (fun () -> Budget.charge b 100));
   check "then none until 2048" false (wall (fun () -> Budget.charge b 947));

@@ -652,6 +652,17 @@ let test_serve_request_budget_starts_with_request () =
     (String.starts_with ~prefix:"ERR class=budget resource=wall-clock-ms"
        (answer_after ~timeout:0. ~idle:0.))
 
+(* A zero wall allowance binds a request of a handful of steps too: the
+   clock is read on a budget's first step, not only every 1,024. *)
+let test_serve_zero_allowance_small_store () =
+  let s = Session.create ~budget:(Budget.create ~timeout:0. ()) () in
+  Session.load_ontology s (tbox ());
+  Session.load_data s (abox ());
+  ignore (Session.prepare s ~name:"q" (cq_a ()));
+  check "two facts, no time: a budget error" true
+    (String.starts_with ~prefix:"ERR class=budget resource=wall-clock-ms"
+       (first (fst (Serve.handle_line s "ANSWER q"))))
+
 (* Property: every answer set observed by a reader racing the writers
    equals the sequential evaluation at SOME revision the writer actually
    produced — the snapshot-isolation acceptance criterion. *)
@@ -1149,6 +1160,8 @@ let suites =
           test_budget_restart;
         Alcotest.test_case "serve: each request's wall allowance is its own"
           `Quick test_serve_request_budget_starts_with_request;
+        Alcotest.test_case "serve: a zero allowance binds a small request"
+          `Quick test_serve_zero_allowance_small_store;
         Alcotest.test_case "race: readers vs writers (snapshot property)"
           `Quick test_race_readers_vs_writers;
         Alcotest.test_case "server: end to end over a socket" `Quick
